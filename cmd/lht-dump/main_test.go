@@ -24,7 +24,6 @@ func startClusterWithData(t *testing.T) string {
 		addrs = append(addrs, ln.Addr().String())
 	}
 	nodes := strings.Join(addrs, ",")
-	lht.RegisterGobTypes()
 	client, err := tcpnet.DialContext(context.Background(), addrs)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
-// Command lht-node runs one storage node of an LHT cluster: a
-// gob-over-TCP key-value server (internal/tcpnet). Start a few on
-// different ports, then point lht-cli (or any program using
+// Command lht-node runs one storage node of an LHT cluster: a key-value
+// server speaking the framed binary protocol (internal/tcpnet). Start a
+// few on different ports, then point lht-cli (or any program using
 // tcpnet.Dial + lht.New) at the full member list:
 //
 //	lht-node -listen 127.0.0.1:7001 -data /var/lib/lht/n1.snap &
@@ -96,6 +96,8 @@ func run(ctx context.Context, cfg nodeConfig) error {
 	interval := cfg.snapshotInterval
 	srv := tcpnet.NewServer()
 	if data != "" {
+		// Linking package lht registers the bucket codec, which the load
+		// needs to migrate a snapshot that still holds gob values.
 		if err := srv.LoadSnapshot(data); err != nil {
 			return err
 		}
@@ -134,12 +136,11 @@ func run(ctx context.Context, cfg nodeConfig) error {
 		if cfg.repairReplicas < 2 {
 			return fmt.Errorf("-repair-replicas must be at least 2")
 		}
-		lht.RegisterGobTypes()
 		go repairLoop(ctx, cfg)
 	}
 
 	// The observability endpoint is separate from the data port so
-	// scrapes never contend with the gob protocol.
+	// scrapes never contend with the data protocol.
 	if metricsAddr != "" {
 		mln, err := net.Listen("tcp", metricsAddr)
 		if err != nil {

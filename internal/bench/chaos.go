@@ -168,7 +168,7 @@ func chaosSchedule(o Options, keys []float64, scenario, rep int) []float64 {
 // times the concurrent query phase.
 func measureChaosCell(o Options, size, scenario int, plane bool) (chaosCell, error) {
 	var cell chaosCell
-	cl, err := startWireCluster(4, nil)
+	cl, err := startWireCluster(4)
 	if err != nil {
 		return cell, err
 	}

@@ -152,7 +152,7 @@ func hotSchedule(o Options, keys []float64, s float64, n int, rep int64) ([]hotO
 // the concurrent skewed phase.
 func measureHotCell(o Options, size int, s float64, plane bool) (hotCell, error) {
 	var cell hotCell
-	cl, err := startWireCluster(4, nil)
+	cl, err := startWireCluster(4)
 	if err != nil {
 		return cell, err
 	}

@@ -2,7 +2,7 @@ package dhttest
 
 import (
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -12,8 +12,8 @@ import (
 )
 
 // EpochValue is the battery's epoch-carrying stored value: what the index
-// layers' buckets look like to the conditional plane. It is gob-registered
-// so byte-store substrates can serialize it.
+// layers' buckets look like to the conditional plane. It registers a
+// binary codec so byte-store substrates can serialize it.
 type EpochValue struct {
 	Epoch uint64
 	Body  string
@@ -22,7 +22,22 @@ type EpochValue struct {
 // DHTEpoch implements dht.Epocher.
 func (v *EpochValue) DHTEpoch() uint64 { return v.Epoch }
 
-func init() { gob.Register(&EpochValue{}) }
+// AppendBinary implements dht.BinaryAppender: uv epoch, then the body.
+func (v *EpochValue) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.AppendUvarint(b, v.Epoch)
+	return append(b, v.Body...), nil
+}
+
+// DecodeEpochValue is the inverse of AppendBinary.
+func DecodeEpochValue(data []byte) (*EpochValue, error) {
+	e, n := binary.Uvarint(data)
+	if n <= 0 {
+		return nil, errors.New("dhttest: truncated epoch value")
+	}
+	return &EpochValue{Epoch: e, Body: string(data[n:])}, nil
+}
+
+func init() { dht.RegisterValue(dht.ValueIDEpochTest, DecodeEpochValue) }
 
 // condBody fetches key and returns the stored EpochValue's body and epoch.
 func condBody(t *testing.T, d dht.DHT, key string) (string, uint64) {

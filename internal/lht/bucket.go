@@ -13,13 +13,14 @@
 package lht
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"time"
 
 	"lht/internal/bitlabel"
+	"lht/internal/dht"
 	"lht/internal/keyspace"
 	"lht/internal/record"
 )
@@ -155,35 +156,162 @@ func (b *Bucket) String() string {
 	return fmt.Sprintf("bucket(%s, %d records)", b.Label, len(b.Records))
 }
 
-// bucketWire is the serialized form of a Bucket. Epoch, Pending and the
-// rate fields are zero-valued on clean (or load-plane-off) buckets,
-// which gob omits, so snapshots written before those planes existed
-// decode unchanged.
-type bucketWire struct {
-	Label   bitlabel.Label
-	Records []record.Record
-	Epoch   uint64
-	Pending Pending
-	Rate    float64
-	RateAt  int64
-}
+func init() { dht.RegisterValue(dht.ValueIDBucket, DecodeBucket) }
 
-// EncodeBucket serializes a bucket for substrates that cross process
-// boundaries (Chord/Kademlia byte stores, the TCP cluster).
-func EncodeBucket(b *Bucket) ([]byte, error) {
-	var buf bytes.Buffer
-	w := bucketWire{Label: b.Label, Records: b.Records, Epoch: b.Epoch, Pending: b.Pending, Rate: b.Rate, RateAt: b.RateAt}
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, fmt.Errorf("encode bucket: %w", err)
+// AppendBinary implements dht.BinaryAppender (and the standard library's
+// encoding.BinaryAppender); substrates that cross process boundaries ship
+// buckets in this form. The layout is (uv = unsigned varint, f64 =
+// big-endian IEEE 754 bits):
+//
+//	label      9 bytes, bitlabel's binary form
+//	epoch      uv
+//	pending    u8 kind, uv length + remove key, uv peer epoch
+//	rate       f64 rate, varint rateAt
+//	records    uv count, then count x (f64 key, uv length + value)
+func (b *Bucket) AppendBinary(out []byte) ([]byte, error) {
+	out, _ = b.Label.AppendBinary(out)
+	out = binary.AppendUvarint(out, b.Epoch)
+	out = append(out, byte(b.Pending.Kind))
+	out = binary.AppendUvarint(out, uint64(len(b.Pending.RemoveKey)))
+	out = append(out, b.Pending.RemoveKey...)
+	out = binary.AppendUvarint(out, b.Pending.PeerEpoch)
+	out = binary.BigEndian.AppendUint64(out, math.Float64bits(b.Rate))
+	out = binary.AppendVarint(out, b.RateAt)
+	out = binary.AppendUvarint(out, uint64(len(b.Records)))
+	for _, r := range b.Records {
+		out = binary.BigEndian.AppendUint64(out, math.Float64bits(r.Key))
+		out = binary.AppendUvarint(out, uint64(len(r.Value)))
+		out = append(out, r.Value...)
 	}
-	return buf.Bytes(), nil
+	return out, nil
 }
 
-// DecodeBucket is the inverse of EncodeBucket.
+// EncodeBucket serializes a bucket in its AppendBinary form.
+func EncodeBucket(b *Bucket) ([]byte, error) { return b.AppendBinary(nil) }
+
+// minRecordLen is the smallest encoded record: an f64 key and a one-byte
+// zero length.
+const minRecordLen = 9
+
+// errBucketTruncated reports input that ends inside a field.
+var errBucketTruncated = errors.New("decode bucket: truncated")
+
+// DecodeBucket is the strict inverse of AppendBinary: it rejects
+// truncated input, malformed labels, unknown pending kinds, record counts
+// the input cannot hold and trailing bytes. The result does not alias
+// data. Like a gob round trip, it leaves Records nil for an empty bucket
+// and Value nil for an empty record value; the record values share one
+// exact-size allocation, each capped so an append cannot spill into its
+// neighbour.
 func DecodeBucket(data []byte) (*Bucket, error) {
-	var w bucketWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+	if len(data) < bitlabel.BinaryLen {
+		return nil, errBucketTruncated
+	}
+	b := &Bucket{}
+	if err := b.Label.UnmarshalBinary(data[:bitlabel.BinaryLen]); err != nil {
 		return nil, fmt.Errorf("decode bucket: %w", err)
 	}
-	return &Bucket{Label: w.Label, Records: w.Records, Epoch: w.Epoch, Pending: w.Pending, Rate: w.Rate, RateAt: w.RateAt}, nil
+	r := bucketReader{b: data[bitlabel.BinaryLen:]}
+	b.Epoch = r.uvarint()
+	b.Pending.Kind = PendingKind(r.u8())
+	if key := r.lenBytes(); len(key) > 0 {
+		b.Pending.RemoveKey = string(key)
+	}
+	b.Pending.PeerEpoch = r.uvarint()
+	b.Rate = r.f64()
+	b.RateAt = r.varint()
+	n := r.uvarint()
+	if r.bad {
+		return nil, errBucketTruncated
+	}
+	if b.Pending.Kind > PendingMerge {
+		return nil, fmt.Errorf("decode bucket: unknown pending kind %d", b.Pending.Kind)
+	}
+	if n > uint64(len(r.b)/minRecordLen) {
+		return nil, fmt.Errorf("decode bucket: %d records cannot fit in %d bytes", n, len(r.b))
+	}
+	// First pass: validate the records and size the value arena.
+	recs := r
+	total := 0
+	for i := uint64(0); i < n; i++ {
+		recs.f64()
+		total += len(recs.lenBytes())
+	}
+	if recs.bad {
+		return nil, errBucketTruncated
+	}
+	if len(recs.b) != 0 {
+		return nil, fmt.Errorf("decode bucket: %d trailing bytes", len(recs.b))
+	}
+	if n == 0 {
+		return b, nil // Records stays nil
+	}
+	b.Records = make([]record.Record, n)
+	var arena []byte
+	if total > 0 {
+		arena = make([]byte, total)
+	}
+	for i := range b.Records {
+		b.Records[i].Key = r.f64()
+		if v := r.lenBytes(); len(v) > 0 {
+			n := copy(arena, v)
+			b.Records[i].Value = arena[:n:n]
+			arena = arena[n:]
+		}
+	}
+	return b, nil
 }
+
+// bucketReader walks an encoded bucket. A read past the end sets bad and
+// returns zero values, so the decoder checks once per section instead of
+// once per field.
+type bucketReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *bucketReader) take(n uint64) []byte {
+	if r.bad || n > uint64(len(r.b)) {
+		r.bad = true
+		return nil
+	}
+	v := r.b[:n]
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *bucketReader) u8() byte {
+	if v := r.take(1); v != nil {
+		return v[0]
+	}
+	return 0
+}
+
+func (r *bucketReader) f64() float64 {
+	if v := r.take(8); v != nil {
+		return math.Float64frombits(binary.BigEndian.Uint64(v))
+	}
+	return 0
+}
+
+func (r *bucketReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if r.bad || n <= 0 {
+		r.bad = true
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *bucketReader) varint() int64 {
+	v, n := binary.Varint(r.b)
+	if r.bad || n <= 0 {
+		r.bad = true
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *bucketReader) lenBytes() []byte { return r.take(r.uvarint()) }

@@ -448,15 +448,34 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 			return cost, fmt.Errorf("lht: write back %q: %w", key, err)
 		}
 		capacity := nb.Weight() >= ix.cfg.SplitThreshold
-		if capacity || ix.hotLeaf(nb, hotEdge) {
-			splitCost, err := ix.split(ctx, key, nb, !capacity)
+		if !capacity && !ix.hotLeaf(nb, hotEdge) {
+			return cost, nil
+		}
+		for {
+			fenced, splitCost, err := ix.split(ctx, key, nb, !capacity)
 			cost.Add(splitCost)
 			ix.c.AddMaintLookups(int64(splitCost.Lookups))
+			if err != nil || !fenced || !capacity {
+				return cost, err
+			}
+			// A concurrent commit beat the split's fence. Re-find the
+			// leaf now holding rec and split it if it is still at
+			// capacity: a burst of contended inserts then earns a split
+			// each, as it would run sequentially, instead of folding into
+			// the last committer's single split — which, when its records
+			// all fall on one side, leaves a child far over the threshold.
+			ctx = dht.WithFreshRead(ctx)
+			b, k, lcost, err := ix.lookup(ctx, rec.Key)
+			cost.Add(lcost)
+			ix.c.AddMaintLookups(int64(lcost.Lookups))
 			if err != nil {
 				return cost, err
 			}
+			if b.Weight() < ix.cfg.SplitThreshold {
+				return cost, nil
+			}
+			key, nb = k, b
 		}
-		return cost, nil
 	}
 }
 
@@ -495,11 +514,13 @@ func (ix *Index) hotLeaf(b *Bucket, hotEdge bool) bool {
 // detectable from the bucket under key alone, and completeSplit — invoked
 // by the next lookup's read-repair or by Scrub — re-runs the remaining
 // steps idempotently, converging on exactly the never-crashed tree.
-func (ix *Index) split(ctx context.Context, key string, b *Bucket, hot bool) (Cost, error) {
+//
+// fenced reports that a concurrent write to key beat the intent, so this
+// call split nothing.
+func (ix *Index) split(ctx context.Context, key string, b *Bucket, hot bool) (fenced bool, cost Cost, err error) {
 	// Maintenance traffic: the intent write and both halves' writes are
 	// split-phase lookups (repairTorn labels its own calls PhaseRepair).
 	ctx = metrics.WithPhase(ctx, metrics.PhaseSplit)
-	var cost Cost
 	lambda := b.Label
 	if lambda.Len() >= ix.cfg.Depth {
 		// The tree may not outgrow the a-priori depth D; leave the
@@ -507,7 +528,7 @@ func (ix *Index) split(ctx context.Context, key string, b *Bucket, hot bool) (Co
 		ix.mu.Lock()
 		ix.overflows++
 		ix.mu.Unlock()
-		return cost, nil
+		return false, cost, nil
 	}
 
 	// Step 1: mark the intent in place (free, local). The marker takes the
@@ -516,23 +537,23 @@ func (ix *Index) split(ctx context.Context, key string, b *Bucket, hot bool) (Co
 	// re-fetches — and what it re-fetches carries the intent, so it helps
 	// complete the split before retrying. Losing the fence ourselves means
 	// another writer committed first (possibly its own split); yield and
-	// let the structure settle — if the leaf is still over threshold, the
-	// next insert re-triggers the split.
+	// report it — InsertContext re-finds the leaf and splits it again if
+	// it is still over threshold.
 	marked := b.Clone()
 	marked.Pending = Pending{Kind: PendingSplit}
 	marked.Epoch = b.Epoch + 1
-	err := dht.DoWriteIf(ctx, ix.d, key, marked, b.Epoch)
+	err = dht.DoWriteIf(ctx, ix.d, key, marked, b.Epoch)
 	if errors.Is(err, dht.ErrCASConflict) || errors.Is(err, dht.ErrNotFound) {
-		return cost, nil
+		return true, cost, nil
 	}
 	if err != nil {
-		return cost, fmt.Errorf("lht: split intent %q: %w", key, err)
+		return false, cost, fmt.Errorf("lht: split intent %q: %w", key, err)
 	}
 
 	// Steps 2-3: push the remote half out, write the local half back.
 	_, rb, err := ix.completeSplit(ctx, key, marked, &cost, false)
 	if err != nil {
-		return cost, err
+		return false, cost, err
 	}
 
 	// Accounting strictly after both writes succeeded: a failed split
@@ -546,7 +567,7 @@ func (ix *Index) split(ctx context.Context, key string, b *Bucket, hot bool) (Co
 	ix.mu.Lock()
 	ix.alphaSum += float64(moved) / float64(ix.cfg.SplitThreshold)
 	ix.mu.Unlock()
-	return cost, nil
+	return false, cost, nil
 }
 
 // Delete removes the record with the given data key, or returns

@@ -3,7 +3,6 @@ package lht
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -126,7 +125,6 @@ func sequentialFingerprint(t *testing.T, recs []record.Record, cfg Config) strin
 // addresses.
 func startServers(t *testing.T, n int) []string {
 	t.Helper()
-	gob.Register(&Bucket{})
 	addrs := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -152,16 +150,13 @@ func TestMultiWriterOracle(t *testing.T) {
 	recs := latticeRecords(256)
 	want := sequentialFingerprint(t, recs, cfg)
 
-	tcpArm := func(wire tcpnet.Wire) func(t *testing.T) dht.DHT {
-		return func(t *testing.T) dht.DHT {
-			addrs := startServers(t, 3)
-			c, err := tcpnet.DialContext(context.Background(), addrs, tcpnet.WithWire(wire))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = c.Close() })
-			return c
+	tcpArm := func(t *testing.T) dht.DHT {
+		c, err := tcpnet.DialContext(context.Background(), startServers(t, 3))
+		if err != nil {
+			t.Fatal(err)
 		}
+		t.Cleanup(func() { _ = c.Close() })
+		return c
 	}
 
 	substrates := []struct {
@@ -177,8 +172,7 @@ func TestMultiWriterOracle(t *testing.T) {
 			}
 			return ring
 		}, false},
-		{"tcpnet-binary", tcpArm(tcpnet.WireBinary), false},
-		{"tcpnet-gob", tcpArm(tcpnet.WireGob), false},
+		{"tcpnet-binary", tcpArm, false},
 		// The flaky arm injects one-shot transient faults — including the
 		// lost-acknowledgement After variant, where the conditional write
 		// took effect and the policy's retry then loses the CAS to the

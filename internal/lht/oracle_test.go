@@ -328,7 +328,7 @@ func TestRangeRejectsBadBounds(t *testing.T) {
 }
 
 // TestRangeOverSerializingDHT runs the oracle mix over a DHT that
-// round-trips every value through the gob codec, proving the engine never
+// round-trips every value through the bucket codec, proving the engine never
 // depends on pointer sharing with the store (as the networked substrates
 // cannot provide it).
 func TestRangeOverSerializingDHT(t *testing.T) {

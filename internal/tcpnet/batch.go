@@ -2,7 +2,6 @@ package tcpnet
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -29,11 +28,7 @@ func (c *Client) GetBatch(ctx context.Context, keys []string) ([]dht.Value, []er
 		wg.Add(1)
 		go func(n *clientNode, slots []int) {
 			defer wg.Done()
-			if c.wire == WireGob {
-				c.gobGetBatch(ctx, n, keys, slots, vals, errs)
-			} else {
-				c.frameGetBatch(ctx, n, keys, slots, vals, errs)
-			}
+			c.frameGetBatch(ctx, n, keys, slots, vals, errs)
 		}(n, slots)
 	}
 	wg.Wait()
@@ -48,45 +43,40 @@ func (c *Client) GetBatch(ctx context.Context, keys []string) ([]dht.Value, []er
 // replica rank — so a bulk load leaves the same fully replicated store
 // that per-key writes would.
 func (c *Client) PutBatch(ctx context.Context, kvs []dht.KV) []error {
-	errs := c.putBatchRank(ctx, kvs, 0)
-	for r := 1; r < c.replicas; r++ {
-		for i, err := range c.putBatchRank(ctx, kvs, r) {
-			if errs[i] == nil {
-				errs[i] = err
-			}
-		}
-	}
-	return errs
-}
-
-// putBatchRank stores each pair on its rank-th holder, grouped per node.
-func (c *Client) putBatchRank(ctx context.Context, kvs []dht.KV, rank int) []error {
 	errs := make([]error, len(kvs))
-	keys := make([]string, len(kvs))
+	// Every value is encoded once, back to back in one growing buffer; a
+	// nil slot is a pair that failed to encode. Each rank's frames copy
+	// the tagged bytes.
+	tagged := make([][]byte, len(kvs))
+	var buf []byte
 	for i, kv := range kvs {
-		keys[i] = kv.Key
-	}
-	// Pre-encode values that need gob; on the framed wire a []byte value
-	// travels raw and needs no encoding pass at all.
-	enc := make([][]byte, len(kvs))
-	for i, kv := range kvs {
-		if c.wire != WireGob {
-			if _, ok := kv.Val.([]byte); ok {
-				continue
-			}
-		}
-		b, err := encodeValue(kv.Val)
+		out, err := appendValue(buf, kv.Val)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		enc[i] = b
+		tagged[i] = out[len(buf):len(out):len(out)]
+		buf = out
 	}
+	for r := 0; r < c.replicas; r++ {
+		c.putBatchRank(ctx, kvs, tagged, r, errs)
+	}
+	return errs
+}
+
+// putBatchRank stores each encoded pair on its rank-th holder, grouped
+// per node, keeping the first error of each slot.
+func (c *Client) putBatchRank(ctx context.Context, kvs []dht.KV, tagged [][]byte, rank int, errs []error) {
+	keys := make([]string, len(kvs))
+	for i, kv := range kvs {
+		keys[i] = kv.Key
+	}
+	rankErrs := make([]error, len(kvs))
 	var wg sync.WaitGroup
 	for n, slots := range c.groupByRank(keys, rank) {
 		sendable := slots[:0:0]
 		for _, i := range slots {
-			if errs[i] == nil {
+			if tagged[i] != nil {
 				sendable = append(sendable, i)
 			}
 		}
@@ -96,15 +86,15 @@ func (c *Client) putBatchRank(ctx context.Context, kvs []dht.KV, rank int) []err
 		wg.Add(1)
 		go func(n *clientNode, slots []int) {
 			defer wg.Done()
-			if c.wire == WireGob {
-				c.gobPutBatch(ctx, n, kvs, enc, slots, errs)
-			} else {
-				c.framePutBatch(ctx, n, kvs, enc, slots, errs)
-			}
+			c.framePutBatch(ctx, n, kvs, tagged, slots, rankErrs)
 		}(n, sendable)
 	}
 	wg.Wait()
-	return errs
+	for i, err := range rankErrs {
+		if errs[i] == nil {
+			errs[i] = err
+		}
+	}
 }
 
 // groupByOwner maps each owning node to the slot indices it serves, in
@@ -205,34 +195,12 @@ func (c *Client) frameGetBatch(ctx context.Context, n *clientNode, keys []string
 	}
 }
 
-func (c *Client) framePutBatch(ctx context.Context, n *clientNode, kvs []dht.KV, enc [][]byte, slots []int, errs []error) {
+func (c *Client) framePutBatch(ctx context.Context, n *clientNode, kvs []dht.KV, tagged [][]byte, slots []int, errs []error) {
 	cur, frame, err := batchCall(ctx, n, dht.OpPutBatch, len(slots), func(b []byte) ([]byte, error) {
 		b = appendUv(b, uint64(len(slots)))
 		for _, i := range slots {
 			b = appendLenString(b, kvs[i].Key)
-			if e := enc[i]; e != nil {
-				// Epoch-carrying values get the same tagEpoch prefix
-				// appendValue produces, sized into the slot's length.
-				var ev [binary.MaxVarintLen64]byte
-				evn := 0
-				if ep, ok := kvs[i].Val.(dht.Epocher); ok {
-					evn = binary.PutUvarint(ev[:], ep.DHTEpoch())
-				}
-				if evn > 0 {
-					b = appendUv(b, uint64(1+evn+1+len(e)))
-					b = append(b, tagEpoch)
-					b = append(b, ev[:evn]...)
-				} else {
-					b = appendUv(b, uint64(1+len(e)))
-				}
-				b = append(b, tagGob)
-				b = append(b, e...)
-			} else {
-				raw, _ := kvs[i].Val.([]byte)
-				b = appendUv(b, uint64(1+len(raw)))
-				b = append(b, tagRaw)
-				b = append(b, raw...)
-			}
+			b = appendLenBytes(b, tagged[i])
 		}
 		return b, nil
 	})
@@ -263,54 +231,6 @@ func (c *Client) framePutBatch(ctx context.Context, n *clientNode, kvs []dht.KV,
 				continue
 			}
 			errs[i] = serverErr(msg)
-		}
-	}
-}
-
-// --- legacy gob wire ---
-
-func (c *Client) gobGetBatch(ctx context.Context, n *clientNode, keys []string, slots []int, vals []dht.Value, errs []error) {
-	req := request{Op: opGetBatch, Keys: make([]string, len(slots))}
-	for j, i := range slots {
-		req.Keys[j] = keys[i]
-	}
-	replies, err := n.gc.batchRoundTrip(ctx, req, len(slots))
-	if err != nil {
-		for _, i := range slots {
-			errs[i] = err
-		}
-		return
-	}
-	for j, i := range slots {
-		switch replies[j].Err {
-		case "":
-			vals[i], errs[i] = decodeValue(replies[j].Val)
-		case errNotFound:
-			errs[i] = dht.ErrNotFound
-		default:
-			errs[i] = fmt.Errorf("tcpnet: server error: %s", replies[j].Err)
-		}
-	}
-}
-
-func (c *Client) gobPutBatch(ctx context.Context, n *clientNode, kvs []dht.KV, enc [][]byte, slots []int, errs []error) {
-	req := request{Op: opPutBatch, KVs: make([]batchKV, len(slots))}
-	for j, i := range slots {
-		req.KVs[j] = batchKV{Key: kvs[i].Key, Val: enc[i]}
-		if e, ok := kvs[i].Val.(dht.Epocher); ok {
-			req.KVs[j].Epoch, req.KVs[j].EpochKnown = e.DHTEpoch(), true
-		}
-	}
-	replies, err := n.gc.batchRoundTrip(ctx, req, len(slots))
-	if err != nil {
-		for _, i := range slots {
-			errs[i] = err
-		}
-		return
-	}
-	for j, i := range slots {
-		if replies[j].Err != "" {
-			errs[i] = fmt.Errorf("tcpnet: server error: %s", replies[j].Err)
 		}
 	}
 }

@@ -14,31 +14,14 @@ import (
 	"lht/internal/metrics"
 )
 
-// Wire selects the client's wire format.
+// Wire names a wire format. The framed binary protocol is the only one;
+// the type survives so configurations that spell it out keep compiling.
 type Wire int
 
-const (
-	// WireBinary is the framed binary protocol (see frame.go): no
-	// reflection, pooled buffers, and a pipelined multiplexer holding
-	// many requests in flight per connection. The default.
-	WireBinary Wire = iota
-	// WireGob is the legacy reflection-based gob stream with one blocking
-	// request per connection. It exists as the compat arm for the codec
-	// oracle (ablation A8) and for talking to pre-framed-protocol nodes.
-	WireGob
-)
-
-// ParseWire maps a command-line wire name ("binary" or "gob") to its
-// Wire value.
-func ParseWire(s string) (Wire, error) {
-	switch s {
-	case "binary":
-		return WireBinary, nil
-	case "gob":
-		return WireGob, nil
-	}
-	return 0, fmt.Errorf("tcpnet: unknown wire format %q (have binary, gob)", s)
-}
+// WireBinary is the framed binary protocol (see frame.go): no reflection,
+// pooled buffers, and a pipelined multiplexer holding many requests in
+// flight per connection. It is the only Wire value and the zero value.
+const WireBinary Wire = 0
 
 // ClusterConfig is the one-stop cluster client configuration: the Dial
 // entry point takes it whole, replacing the accreted option list
@@ -52,13 +35,14 @@ type ClusterConfig struct {
 	// the gossiped view changes. Without gossip they are the static
 	// member list, exactly as before.
 	Seeds []string
-	// Wire selects the wire format (default WireBinary).
+	// Wire is the wire format; WireBinary (the zero value) is the only
+	// one, and Dial rejects any other value.
 	Wire Wire
 	// PoolSize is the number of multiplexed connections per node (default
-	// 2; ignored by WireGob).
+	// 2).
 	PoolSize int
 	// Replicas stores each key on this many consecutive ring members
-	// (default 1 = unreplicated). Requires the binary wire.
+	// (default 1 = unreplicated).
 	Replicas int
 	// Counters chains the client's counters onto a shared metrics sink.
 	Counters *metrics.Counters
@@ -89,7 +73,6 @@ type ClusterConfig struct {
 type Option func(*clientOptions)
 
 type clientOptions struct {
-	wire     Wire
 	poolSize int
 	replicas int
 	counters *metrics.Counters
@@ -98,19 +81,15 @@ type clientOptions struct {
 	degraded bool
 }
 
-// WithWire selects the wire format (default WireBinary).
-func WithWire(w Wire) Option { return func(o *clientOptions) { o.wire = w } }
-
 // WithPoolSize sets how many multiplexed connections the client keeps per
 // node (default 2, minimum 1). Each connection already pipelines many
 // requests; extra connections spread very hot nodes across sockets.
-// Ignored by WireGob, which keeps the legacy one connection per node.
 func WithPoolSize(n int) Option { return func(o *clientOptions) { o.poolSize = n } }
 
 // WithReplicas stores each key on n consecutive ring members instead of
 // one (default 1, i.e. no replication). Replication is client-driven —
 // see replicas.go for the fan-out, fallback and read-spreading contract.
-// Requires the binary wire and a cluster of at least n nodes.
+// Requires a cluster of at least n nodes.
 func WithReplicas(n int) Option { return func(o *clientOptions) { o.replicas = n } }
 
 // WithCounters chains the client's load counters (spread reads) onto cs,
@@ -119,7 +98,7 @@ func WithReplicas(n int) Option { return func(o *clientOptions) { o.replicas = n
 func WithCounters(cs *metrics.Counters) Option { return func(o *clientOptions) { o.counters = cs } }
 
 // WithDialer replaces the transport factory used for every outgoing
-// connection on both wire formats (default: a plain net.Dialer). This is
+// connection (default: a plain net.Dialer). This is
 // the injection point for the netchaos plane: a scripted dialer can
 // drop, delay, throttle, or partition individual node links under an
 // otherwise unmodified client.
@@ -146,8 +125,8 @@ func WithDegradedStart() Option { return func(o *clientOptions) { o.degraded = t
 // Client implements dht.DHT over a static set of tcpnet servers: keys are
 // mapped to nodes with consistent hashing on the same 64-bit circle the
 // Chord substrate uses, so each node owns the arc ending at its hashed
-// address. It is safe for concurrent use: on the default binary wire,
-// each node connection is a pipelined multiplexer carrying many requests
+// address. It is safe for concurrent use: each node connection is a
+// pipelined multiplexer carrying many requests
 // in flight at once, so concurrent callers (and the batch plane's
 // per-node fan-out) overlap their round trips instead of queueing on a
 // connection mutex.
@@ -158,7 +137,6 @@ func WithDegradedStart() Option { return func(o *clientOptions) { o.degraded = t
 // (dht.IsTransient) so a policy wrapper can retry them; the next attempt
 // redials lazily, health-checking the fresh connection with a ping.
 type Client struct {
-	wire     Wire
 	replicas int // holders per key; 1 = unreplicated
 	counters *metrics.Counters
 	opts     clientOptions // retained to build nodes for members the view adds
@@ -206,14 +184,13 @@ var (
 )
 
 // clientNode is one member's connection state: a pool of multiplexed
-// connections (binary wire) or a single legacy gob connection.
+// connections.
 type clientNode struct {
 	id   hashring.ID
 	addr string
 
-	conns []*mconn // binary wire; round-robin
+	conns []*mconn // round-robin
 	next  atomic.Uint32
-	gc    *gobConn // gob wire
 
 	br       *dht.Breaker // health plane; nil when WithHealth is off
 	counters *metrics.Counters
@@ -239,8 +216,10 @@ func Dial(ctx context.Context, cfg ClusterConfig) (*Client, error) {
 	if len(cfg.Seeds) == 0 {
 		return nil, errors.New("tcpnet: no node addresses")
 	}
+	if cfg.Wire != WireBinary {
+		return nil, fmt.Errorf("tcpnet: unknown wire format %d", cfg.Wire)
+	}
 	o := clientOptions{
-		wire:     cfg.Wire,
 		poolSize: cfg.PoolSize,
 		replicas: cfg.Replicas,
 		counters: cfg.Counters,
@@ -257,9 +236,6 @@ func Dial(ctx context.Context, cfg ClusterConfig) (*Client, error) {
 	if o.replicas < 1 {
 		o.replicas = 1
 	}
-	if o.replicas > 1 && o.wire == WireGob {
-		return nil, errors.New("tcpnet: replication requires the binary wire")
-	}
 	if cfg.HintedHandoff && o.replicas < 2 {
 		return nil, errors.New("tcpnet: hinted handoff requires replication")
 	}
@@ -267,7 +243,6 @@ func Dial(ctx context.Context, cfg ClusterConfig) (*Client, error) {
 		o.health = &dht.BreakerConfig{}
 	}
 	c := &Client{
-		wire:     o.wire,
 		replicas: o.replicas,
 		counters: o.counters,
 		opts:     o,
@@ -349,12 +324,8 @@ func (c *Client) newNode(a string) *clientNode {
 		}
 		n.br = dht.NewBreaker(cfg)
 	}
-	if o.wire == WireGob {
-		n.gc = &gobConn{addr: a, dial: o.dialer, gate: redialGate{br: n.br}}
-	} else {
-		for i := 0; i < o.poolSize; i++ {
-			n.conns = append(n.conns, &mconn{addr: a, dial: o.dialer, gate: redialGate{br: n.br}})
-		}
+	for i := 0; i < o.poolSize; i++ {
+		n.conns = append(n.conns, &mconn{addr: a, dial: o.dialer, gate: redialGate{br: n.br}})
 	}
 	return n
 }
@@ -395,13 +366,12 @@ func (c *Client) verifyAll(ctx context.Context, nodes []*clientNode) error {
 // call sites migrate mechanically. New code should call Dial with a
 // ClusterConfig.
 func DialContext(ctx context.Context, addrs []string, opts ...Option) (*Client, error) {
-	o := clientOptions{wire: WireBinary, poolSize: 2}
+	o := clientOptions{poolSize: 2}
 	for _, opt := range opts {
 		opt(&o)
 	}
 	return Dial(ctx, ClusterConfig{
 		Seeds:         addrs,
-		Wire:          o.wire,
 		PoolSize:      o.poolSize,
 		Replicas:      o.replicas,
 		Counters:      o.counters,
@@ -411,13 +381,8 @@ func DialContext(ctx context.Context, addrs []string, opts ...Option) (*Client, 
 	})
 }
 
-// verify dials and pings one node on the appropriate wire.
+// verify dials and pings one node: the dial health-checks with a ping.
 func (c *Client) verify(ctx context.Context, n *clientNode) error {
-	if c.wire == WireGob {
-		_, err := n.gc.roundTrip(ctx, request{Op: opPing})
-		return err
-	}
-	// The binary dial health-checks with a ping already.
 	return n.conns[0].connect(ctx)
 }
 
@@ -428,18 +393,12 @@ func (c *Client) Close() error {
 		c.refreshCancel()
 		c.refreshWG.Wait()
 	}
-	var first error
 	for _, n := range c.ringNodes() {
 		for _, m := range n.conns {
 			m.close()
 		}
-		if n.gc != nil {
-			if err := n.gc.close(); err != nil && first == nil {
-				first = err
-			}
-		}
 	}
-	return first
+	return nil
 }
 
 // owner returns the node responsible for key: the first node clockwise
@@ -456,7 +415,7 @@ func (c *Client) owner(key string) *clientNode {
 
 // MaxInFlight reports the highest number of requests any single
 // connection has had in flight at once — the pipelining depth actually
-// reached. Zero on the gob wire, which cannot pipeline.
+// reached.
 func (c *Client) MaxInFlight() int {
 	max := 0
 	for _, n := range c.ringNodes() {
@@ -524,9 +483,6 @@ func (c *Client) Get(ctx context.Context, key string) (dht.Value, error) {
 	if c.replicas > 1 {
 		return c.replicatedGet(ctx, key)
 	}
-	if c.wire == WireGob {
-		return c.gobGet(ctx, key, request{Op: opGet, Key: key})
-	}
 	tv, frame, err := c.owner(key).simpleCall(ctx, dht.OpGet, func(b []byte) ([]byte, error) {
 		return appendLenString(b, key), nil
 	})
@@ -543,9 +499,6 @@ func (c *Client) Put(ctx context.Context, key string, v dht.Value) error {
 	if c.replicas > 1 {
 		return c.replicatedPut(ctx, key, v)
 	}
-	if c.wire == WireGob {
-		return c.gobPutLike(ctx, opPut, key, v)
-	}
 	_, frame, err := c.owner(key).simpleCall(ctx, dht.OpPut, func(b []byte) ([]byte, error) {
 		return appendValue(appendLenString(b, key), v)
 	})
@@ -560,9 +513,6 @@ func (c *Client) Put(ctx context.Context, key string, v dht.Value) error {
 func (c *Client) Take(ctx context.Context, key string) (dht.Value, error) {
 	if c.replicas > 1 {
 		return c.replicatedTake(ctx, key)
-	}
-	if c.wire == WireGob {
-		return c.gobGet(ctx, key, request{Op: opTake, Key: key})
 	}
 	tv, frame, err := c.owner(key).simpleCall(ctx, dht.OpTake, func(b []byte) ([]byte, error) {
 		return appendLenString(b, key), nil
@@ -580,10 +530,6 @@ func (c *Client) Remove(ctx context.Context, key string) error {
 	if c.replicas > 1 {
 		return c.replicatedRemove(ctx, key)
 	}
-	if c.wire == WireGob {
-		_, err := c.gobDo(ctx, key, request{Op: opRemove, Key: key})
-		return err
-	}
 	_, frame, err := c.owner(key).simpleCall(ctx, dht.OpRemove, func(b []byte) ([]byte, error) {
 		return appendLenString(b, key), nil
 	})
@@ -598,9 +544,6 @@ func (c *Client) Remove(ctx context.Context, key string) error {
 func (c *Client) Write(ctx context.Context, key string, v dht.Value) error {
 	if c.replicas > 1 {
 		return c.replicatedWrite(ctx, key, v)
-	}
-	if c.wire == WireGob {
-		return c.gobPutLike(ctx, opWrite, key, v)
 	}
 	_, frame, err := c.owner(key).simpleCall(ctx, dht.OpWrite, func(b []byte) ([]byte, error) {
 		return appendValue(appendLenString(b, key), v)
@@ -654,9 +597,6 @@ func (c *Client) PutIf(ctx context.Context, key string, v dht.Value, ifEpoch uin
 	if c.replicas > 1 {
 		return c.replicatedPutIf(ctx, key, v, ifEpoch)
 	}
-	if c.wire == WireGob {
-		return c.gobCond(ctx, opPutIf, key, v, ifEpoch)
-	}
 	return c.owner(key).condCall(ctx, dht.OpPutIf, key, func(b []byte) ([]byte, error) {
 		b = appendLenString(b, key)
 		b = appendUv(b, ifEpoch)
@@ -669,9 +609,6 @@ func (c *Client) CreateIf(ctx context.Context, key string, v dht.Value) error {
 	if c.replicas > 1 {
 		return c.replicatedCreateIf(ctx, key, v)
 	}
-	if c.wire == WireGob {
-		return c.gobCond(ctx, opCreateIf, key, v, 0)
-	}
 	return c.owner(key).condCall(ctx, dht.OpCreateIf, key, func(b []byte) ([]byte, error) {
 		return appendValue(appendLenString(b, key), v)
 	})
@@ -681,10 +618,6 @@ func (c *Client) CreateIf(ctx context.Context, key string, v dht.Value) error {
 func (c *Client) RemoveIf(ctx context.Context, key string, ifEpoch uint64) error {
 	if c.replicas > 1 {
 		return c.replicatedRemoveIf(ctx, key, ifEpoch)
-	}
-	if c.wire == WireGob {
-		_, err := c.gobDo(ctx, key, request{Op: opRemoveIf, Key: key, IfEpoch: ifEpoch})
-		return err
 	}
 	return c.owner(key).condCall(ctx, dht.OpRemoveIf, key, func(b []byte) ([]byte, error) {
 		b = appendLenString(b, key)
@@ -697,74 +630,9 @@ func (c *Client) WriteIf(ctx context.Context, key string, v dht.Value, ifEpoch u
 	if c.replicas > 1 {
 		return c.replicatedWriteIf(ctx, key, v, ifEpoch)
 	}
-	if c.wire == WireGob {
-		return c.gobCond(ctx, opWriteIf, key, v, ifEpoch)
-	}
 	return c.owner(key).condCall(ctx, dht.OpWriteIf, key, func(b []byte) ([]byte, error) {
 		b = appendLenString(b, key)
 		b = appendUv(b, ifEpoch)
 		return appendValue(b, v)
 	})
-}
-
-// --- legacy gob wire ---
-
-func (c *Client) gobDo(ctx context.Context, key string, req request) (_ response, err error) {
-	n := c.owner(key)
-	tok, err := n.allow()
-	if err != nil {
-		return response{}, err
-	}
-	defer func() { n.record(tok, err) }()
-	resp, err := n.gc.roundTrip(ctx, req)
-	if err != nil {
-		return response{}, err
-	}
-	switch resp.Err {
-	case "":
-		return resp, nil
-	case errNotFound:
-		return response{}, dht.ErrNotFound
-	case errCASConflict:
-		return response{}, &dht.CASConflictError{
-			Key: key, Exists: resp.ConflictExists, WinnerEpoch: resp.Winner,
-		}
-	default:
-		return response{}, fmt.Errorf("tcpnet: server error: %s", resp.Err)
-	}
-}
-
-func (c *Client) gobGet(ctx context.Context, key string, req request) (dht.Value, error) {
-	resp, err := c.gobDo(ctx, key, req)
-	if err != nil {
-		return nil, err
-	}
-	return decodeValue(resp.Val)
-}
-
-func (c *Client) gobPutLike(ctx context.Context, op op, key string, v dht.Value) error {
-	data, err := encodeValue(v)
-	if err != nil {
-		return err
-	}
-	req := request{Op: op, Key: key, Val: data}
-	if e, ok := v.(dht.Epocher); ok {
-		req.Epoch, req.EpochKnown = e.DHTEpoch(), true
-	}
-	_, err = c.gobDo(ctx, key, req)
-	return err
-}
-
-// gobCond sends a value-carrying conditional op on the legacy wire.
-func (c *Client) gobCond(ctx context.Context, op op, key string, v dht.Value, ifEpoch uint64) error {
-	data, err := encodeValue(v)
-	if err != nil {
-		return err
-	}
-	req := request{Op: op, Key: key, Val: data, IfEpoch: ifEpoch}
-	if e, ok := v.(dht.Epocher); ok {
-		req.Epoch, req.EpochKnown = e.DHTEpoch(), true
-	}
-	_, err = c.gobDo(ctx, key, req)
-	return err
 }

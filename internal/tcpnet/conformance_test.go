@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"testing"
 
 	"lht/internal/dht"
@@ -15,13 +16,25 @@ import (
 // startServers boots n fresh servers and returns their addresses.
 func startServers(t *testing.T, n int) []string {
 	t.Helper()
+	return startServersFrom(t, n, "")
+}
+
+// startServersFrom boots n servers, each first loading the snapshot at
+// path (none when path is empty), and returns their addresses.
+func startServersFrom(t *testing.T, n int, path string) []string {
+	t.Helper()
 	addrs := make([]string, 0, n)
 	for i := 0; i < n; i++ {
+		srv := NewServer()
+		if path != "" {
+			if err := srv.LoadSnapshot(path); err != nil {
+				t.Fatal(err)
+			}
+		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := NewServer()
 		go func() { _ = srv.Serve(ln) }()
 		t.Cleanup(func() { _ = srv.Close() })
 		addrs = append(addrs, ln.Addr().String())
@@ -29,24 +42,54 @@ func startServers(t *testing.T, n int) []string {
 	return addrs
 }
 
-// TestClientConformance runs the full dhttest battery over both wire
-// formats, with both gob-encoded struct values and raw []byte values (the
-// framed protocol's zero-serialization fast path).
+// gobMigratedCluster boots three servers from a format-2 snapshot whose
+// values a node of the retired gob wire wrote — a gob struct behind an
+// epoch tag and gob raw bytes, under keys the battery never touches — and
+// returns a client after checking that the migrated values read back.
+func gobMigratedCluster(t *testing.T) dht.DHT {
+	t.Helper()
+	old := &dhttest.EpochValue{Epoch: 4, Body: "old"}
+	tagged := append([]byte{tagEpoch}, appendUv(nil, old.Epoch)...)
+	path := t.TempDir() + "/legacy.snap"
+	writeLegacySnapshot(t, path, 2, map[string][]byte{
+		"legacy/epoch": append(append(tagged, legacyTagGob), legacyGob(t, old)...),
+		"legacy/bytes": append([]byte{legacyTagGob}, legacyGob(t, []byte("gb"))...),
+	})
+	c, err := DialContext(context.Background(), startServersFrom(t, 3, path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	ctx := context.Background()
+	if v, err := c.Get(ctx, "legacy/epoch"); err != nil || !reflect.DeepEqual(v, old) {
+		t.Fatalf("Get(legacy/epoch) = %#v, %v", v, err)
+	}
+	if v, err := c.Get(ctx, "legacy/bytes"); err != nil || !bytes.Equal(v.([]byte), []byte("gb")) {
+		t.Fatalf("Get(legacy/bytes) = %v, %v", v, err)
+	}
+	return c
+}
+
+// TestClientConformance runs the full dhttest battery with both struct
+// values (their registered binary codec) and raw []byte values (the
+// zero-serialization fast path), plus the conditional battery, over two
+// arms: fresh servers ("binary") and servers whose store was migrated on
+// load from a snapshot of gob values ("gob").
 func TestClientConformance(t *testing.T) {
-	for _, w := range []struct {
-		name string
-		wire Wire
-	}{{"binary", WireBinary}, {"gob", WireGob}} {
-		factory := func(t *testing.T) dht.DHT {
-			c, err := DialContext(context.Background(), startServers(t, 3), WithWire(w.wire))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = c.Close() })
-			return c
+	fresh := func(t *testing.T) dht.DHT {
+		c, err := DialContext(context.Background(), startServers(t, 3))
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(w.name+"/struct", func(t *testing.T) {
-			dhttest.Run(t, factory, dhttest.Options{
+		t.Cleanup(func() { _ = c.Close() })
+		return c
+	}
+	for _, arm := range []struct {
+		name    string
+		factory func(t *testing.T) dht.DHT
+	}{{"binary", fresh}, {"gob", gobMigratedCluster}} {
+		t.Run(arm.name+"/struct", func(t *testing.T) {
+			dhttest.Run(t, arm.factory, dhttest.Options{
 				Keys:         120,
 				ValueFactory: func(i int) dht.Value { return &payload{N: i} },
 				ValueEqual: func(v dht.Value, i int) bool {
@@ -55,8 +98,8 @@ func TestClientConformance(t *testing.T) {
 				},
 			})
 		})
-		t.Run(w.name+"/bytes", func(t *testing.T) {
-			dhttest.Run(t, factory, dhttest.Options{
+		t.Run(arm.name+"/bytes", func(t *testing.T) {
+			dhttest.Run(t, arm.factory, dhttest.Options{
 				Keys:         120,
 				ValueFactory: func(i int) dht.Value { return []byte(fmt.Sprintf("v-%d", i)) },
 				ValueEqual: func(v dht.Value, i int) bool {
@@ -65,136 +108,58 @@ func TestClientConformance(t *testing.T) {
 				},
 			})
 		})
-		t.Run(w.name+"/conditional", func(t *testing.T) {
+		t.Run(arm.name+"/conditional", func(t *testing.T) {
 			// The byte store serves the CAS from the epoch prefix written
-			// with every put-like op, so conditional semantics must hold
-			// over both wire protocols.
-			dhttest.RunConditional(t, factory, dhttest.Options{})
+			// with every put-like op.
+			dhttest.RunConditional(t, arm.factory, dhttest.Options{})
 		})
 	}
 }
 
-// TestCrossWireConditional pins the conditional plane's interop: an epoch
-// written through one wire must be compared and swapped correctly through
-// the other, in both directions.
-func TestCrossWireConditional(t *testing.T) {
-	addrs := startServers(t, 3)
-	bin, err := DialContext(context.Background(), addrs, WithWire(WireBinary))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = bin.Close() })
-	gb, err := DialContext(context.Background(), addrs, WithWire(WireGob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = gb.Close() })
+// unregistered is a value type with no binary codec.
+type unregistered struct{ N int }
 
+// TestValueKindsShareBatches mixes raw and codec values in one batch and
+// requires a value with no registered codec to fail in its slot alone,
+// on the per-key path and in a batch.
+func TestValueKindsShareBatches(t *testing.T) {
+	c, err := DialContext(context.Background(), startServers(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
 	ctx := context.Background()
-	arms := []struct {
-		name           string
-		writer, reader dht.DHT
-	}{
-		{"binary-writes_gob-cas", bin, gb},
-		{"gob-writes_binary-cas", gb, bin},
+	if err := c.Put(ctx, "u", &unregistered{N: 1}); err == nil {
+		t.Fatal("Put of an unregistered type succeeded")
 	}
-	for _, arm := range arms {
-		t.Run(arm.name, func(t *testing.T) {
-			key := "xc/" + arm.name
-			if err := arm.writer.Put(ctx, key, &dhttest.EpochValue{Epoch: 4, Body: "w"}); err != nil {
-				t.Fatal(err)
-			}
-			if err := dht.DoPutIf(ctx, arm.reader, key, &dhttest.EpochValue{Epoch: 5, Body: "r"}, 3); !errors.Is(err, dht.ErrCASConflict) {
-				t.Fatalf("stale cross-wire PutIf = %v, want ErrCASConflict", err)
-			}
-			var c *dht.CASConflictError
-			if err := dht.DoPutIf(ctx, arm.reader, key, &dhttest.EpochValue{Epoch: 5, Body: "r"}, 3); !errors.As(err, &c) || c.WinnerEpoch != 4 {
-				t.Fatalf("cross-wire conflict carries winner %+v, want epoch 4", c)
-			}
-			if err := dht.DoPutIf(ctx, arm.reader, key, &dhttest.EpochValue{Epoch: 5, Body: "r"}, 4); err != nil {
-				t.Fatalf("matching cross-wire PutIf = %v", err)
-			}
-			v, err := arm.writer.Get(ctx, key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ev, ok := v.(*dhttest.EpochValue); !ok || ev.Epoch != 5 || ev.Body != "r" {
-				t.Fatalf("cross-wire read-back = %#v, want epoch 5 body r", v)
-			}
-			if err := dht.DoRemoveIf(ctx, arm.writer, key, 5); err != nil {
-				t.Fatalf("cross-wire RemoveIf = %v", err)
-			}
-		})
+	kvs := []dht.KV{
+		{Key: "b0", Val: []byte("b0")},
+		{Key: "b1", Val: &payload{N: 1, S: "one"}},
+		{Key: "b2", Val: &unregistered{N: 2}},
+		{Key: "b3", Val: &dhttest.EpochValue{Epoch: 7, Body: "e"}},
 	}
-}
-
-// TestCrossWireInterop stores through each wire format and reads through
-// the other: the two protocols must interoperate on one store, for both
-// gob-encoded struct values and raw []byte values.
-func TestCrossWireInterop(t *testing.T) {
-	addrs := startServers(t, 3)
-	bin, err := DialContext(context.Background(), addrs, WithWire(WireBinary))
-	if err != nil {
-		t.Fatal(err)
+	errs := c.PutBatch(ctx, kvs)
+	if errs[0] != nil || errs[1] != nil || errs[3] != nil {
+		t.Fatalf("PutBatch errs = %v", errs)
 	}
-	t.Cleanup(func() { _ = bin.Close() })
-	gob, err := DialContext(context.Background(), addrs, WithWire(WireGob))
-	if err != nil {
-		t.Fatal(err)
+	if errs[2] == nil {
+		t.Fatal("PutBatch stored an unregistered type")
 	}
-	t.Cleanup(func() { _ = gob.Close() })
-
-	ctx := context.Background()
-	writers := map[string]dht.DHT{"binary": bin, "gob": gob}
-	readers := map[string]dht.DHT{"binary": bin, "gob": gob}
-	for wn, w := range writers {
-		for rn, r := range readers {
-			t.Run(wn+"-writes_"+rn+"-reads", func(t *testing.T) {
-				sk := fmt.Sprintf("x/%s/%s/struct", wn, rn)
-				if err := w.Put(ctx, sk, &payload{N: 42, S: "cross"}); err != nil {
-					t.Fatal(err)
-				}
-				v, err := r.Get(ctx, sk)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if p, ok := v.(*payload); !ok || p.N != 42 || p.S != "cross" {
-					t.Fatalf("struct value = %#v", v)
-				}
-
-				bk := fmt.Sprintf("x/%s/%s/bytes", wn, rn)
-				if err := w.Put(ctx, bk, []byte("raw-bytes")); err != nil {
-					t.Fatal(err)
-				}
-				v, err = r.Get(ctx, bk)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if b, ok := v.([]byte); !ok || !bytes.Equal(b, []byte("raw-bytes")) {
-					t.Fatalf("bytes value = %#v", v)
-				}
-
-				// Batches cross too.
-				kvs := []dht.KV{
-					{Key: bk + "/b0", Val: []byte("b0")},
-					{Key: bk + "/b1", Val: &payload{N: 1}},
-				}
-				for i, err := range w.(dht.Batcher).PutBatch(ctx, kvs) {
-					if err != nil {
-						t.Fatalf("PutBatch[%d]: %v", i, err)
-					}
-				}
-				vals, errs := r.(dht.Batcher).GetBatch(ctx, []string{bk + "/b0", bk + "/b1", bk + "/absent"})
-				if errs[0] != nil || !bytes.Equal(vals[0].([]byte), []byte("b0")) {
-					t.Fatalf("batch slot 0 = %#v, %v", vals[0], errs[0])
-				}
-				if errs[1] != nil || vals[1].(*payload).N != 1 {
-					t.Fatalf("batch slot 1 = %#v, %v", vals[1], errs[1])
-				}
-				if !errors.Is(errs[2], dht.ErrNotFound) {
-					t.Fatalf("batch slot 2 err = %v, want not found", errs[2])
-				}
-			})
-		}
+	vals, gerrs := c.GetBatch(ctx, []string{"b0", "b1", "b2", "b3"})
+	if gerrs[0] != nil || !bytes.Equal(vals[0].([]byte), []byte("b0")) {
+		t.Fatalf("slot 0 = %#v, %v", vals[0], gerrs[0])
+	}
+	if gerrs[1] != nil || *vals[1].(*payload) != (payload{N: 1, S: "one"}) {
+		t.Fatalf("slot 1 = %#v, %v", vals[1], gerrs[1])
+	}
+	if !errors.Is(gerrs[2], dht.ErrNotFound) {
+		t.Fatalf("slot 2 err = %v, want not found", gerrs[2])
+	}
+	if ev, ok := vals[3].(*dhttest.EpochValue); gerrs[3] != nil || !ok || *ev != (dhttest.EpochValue{Epoch: 7, Body: "e"}) {
+		t.Fatalf("slot 3 = %#v, %v", vals[3], gerrs[3])
+	}
+	// The batch put left the same epoch tag a per-key put does.
+	if err := c.PutIf(ctx, "b3", &dhttest.EpochValue{Epoch: 8}, 7); err != nil {
+		t.Fatalf("PutIf over a batch-stored epoch = %v", err)
 	}
 }

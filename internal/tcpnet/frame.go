@@ -11,14 +11,13 @@ import (
 	"lht/internal/dht"
 )
 
-// This file is the framed binary wire codec (wire format 2). Unlike the
-// legacy gob stream it uses no reflection and recycles every buffer it
-// touches, so the encode/decode hot path allocates nothing beyond the
-// returned value bytes.
+// This file is the framed binary wire codec. It uses no reflection and
+// recycles every buffer it touches, so the encode/decode hot path
+// allocates nothing beyond the returned value.
 //
-// A connection opens with the 4-byte magic "LHT2" (absent on legacy gob
-// connections, which the server detects by peeking). After the magic,
-// both directions speak length-prefixed frames:
+// A connection opens with the 4-byte magic "LHT2"; the server closes any
+// connection that does not. After the magic, both directions speak
+// length-prefixed frames:
 //
 //	+---------+------------+--------+---------------------+
 //	| len u32 | request id | op u8  | payload (len-9 B)   |
@@ -44,14 +43,19 @@ import (
 //	getbatch                uv count, count x (uv klen, key)
 //	putbatch                uv count, count x (uv klen, key, uv vlen, value)
 //
-// A value is a tag byte followed by its serialized form: tagRaw means the
-// bytes ARE the dht.Value (a []byte travels with zero serialization work),
-// tagGob means encoding/gob (arbitrary registered types, exactly the bytes
-// the legacy protocol would have carried). A value whose type implements
-// dht.Epocher additionally travels with a tagEpoch prefix — tagEpoch,
-// uv epoch, then the inner tagged form — so the server can serve CAS
-// comparisons without ever decoding a value. Servers store values with
-// their tags, so the two wire formats interoperate on one store.
+// A value is a tag byte followed by its serialized form:
+//
+//	tag  name       body
+//	0    tagRaw     the bytes ARE the dht.Value (a []byte), verbatim
+//	1    (retired)  encoding/gob; only snapshots of formats 1-2 held it,
+//	                and LoadSnapshot rewrites it to tagBinary
+//	2    tagEpoch   uv epoch, then an inner tagged value (never tagEpoch)
+//	3    tagBinary  uv codec id, then the value's AppendBinary bytes
+//
+// tagBinary carries any type registered with dht.RegisterValue; the id
+// selects the decoder. A value whose type implements dht.Epocher travels
+// inside a tagEpoch prefix, so the server can serve CAS comparisons
+// without ever decoding a value. Servers store values with their tags.
 //
 // Response payloads:
 //
@@ -68,8 +72,8 @@ import (
 // get slot, n=0 for a put slot); not-found = nothing; error = uv n,
 // n-byte message.
 const (
-	// wireMagic opens every framed binary connection; its absence selects
-	// the legacy gob protocol.
+	// wireMagic opens every connection; the server closes a connection
+	// that does not start with it.
 	wireMagic = "LHT2"
 
 	// frameHeaderLen is the id+op prefix counted inside the length field.
@@ -94,11 +98,11 @@ const (
 	statusCASConflict = 3 // payload: exists u8, uv winnerEpoch
 )
 
-// Value tag bytes.
+// Value tag bytes. Tag 1 (encoding/gob) is retired and never reused.
 const (
-	tagRaw   = 0 // the bytes are the dht.Value (a []byte) verbatim
-	tagGob   = 1 // encoding/gob, same bytes as the legacy protocol
-	tagEpoch = 2 // uv epoch then an inner tagged value; serves CAS compares
+	tagRaw    = 0 // the bytes are the dht.Value (a []byte) verbatim
+	tagEpoch  = 2 // uv epoch then an inner tagged value; serves CAS compares
+	tagBinary = 3 // uv codec id then the value's AppendBinary bytes
 )
 
 var (
@@ -153,10 +157,11 @@ func appendLenString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// appendValue appends the tagged wire form of v: a []byte travels raw, any
-// other type goes through gob exactly as the legacy protocol would. A
-// value carrying a CAS epoch (dht.Epocher) is prefixed with tagEpoch and
-// the epoch varint so the server can compare epochs on pure bytes.
+// appendValue appends the tagged wire form of v: a []byte travels raw,
+// a type registered with dht.RegisterValue travels as tagBinary, and any
+// other type is an error. A value carrying a CAS epoch (dht.Epocher) is
+// prefixed with tagEpoch and the epoch varint so the server can compare
+// epochs on pure bytes.
 func appendValue(b []byte, v dht.Value) ([]byte, error) {
 	if e, ok := v.(dht.Epocher); ok {
 		b = append(b, tagEpoch)
@@ -166,16 +171,21 @@ func appendValue(b []byte, v dht.Value) ([]byte, error) {
 		b = append(b, tagRaw)
 		return append(b, raw...), nil
 	}
-	data, err := encodeValue(v)
-	if err != nil {
-		return nil, err
+	id, enc, ok := dht.ValueCodec(v)
+	if !ok {
+		return nil, fmt.Errorf("tcpnet: encode value: %T has no registered binary codec", v)
 	}
-	b = append(b, tagGob)
-	return append(b, data...), nil
+	b = append(b, tagBinary)
+	b, err := enc.AppendBinary(appendUv(b, id))
+	if err != nil {
+		return nil, fmt.Errorf("tcpnet: encode value: %w", err)
+	}
+	return b, nil
 }
 
 // decodeTaggedValue is the inverse of appendValue. The input's backing
-// array may be a pooled buffer, so raw bytes are copied out.
+// array may be a pooled buffer, so raw bytes are copied out (registered
+// decoders never alias their input).
 func decodeTaggedValue(tv []byte) (dht.Value, error) {
 	if len(tv) == 0 {
 		return nil, fmt.Errorf("tcpnet: empty wire value")
@@ -185,8 +195,17 @@ func decodeTaggedValue(tv []byte) (dht.Value, error) {
 		out := make([]byte, len(tv)-1)
 		copy(out, tv[1:])
 		return out, nil
-	case tagGob:
-		return decodeValue(tv[1:])
+	case tagBinary:
+		c := cursor{b: tv[1:]}
+		id, err := c.uvarint()
+		if err != nil {
+			return nil, fmt.Errorf("tcpnet: truncated codec id")
+		}
+		v, err := dht.DecodeValue(id, c.b)
+		if err != nil {
+			return nil, fmt.Errorf("tcpnet: decode value: %w", err)
+		}
+		return v, nil
 	case tagEpoch:
 		// The epoch only exists for the server's CAS compare; the decoded
 		// value carries its own version, so the prefix is simply stripped.

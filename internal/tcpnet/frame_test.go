@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"lht/internal/dht"
+	"lht/internal/dht/dhttest"
 )
 
 // buildFrame assembles a raw frame for tests: header + payload, with the
@@ -119,20 +120,14 @@ func TestTaggedValueRoundTrip(t *testing.T) {
 		t.Error("decoded value aliases the input buffer")
 	}
 
-	// Arbitrary type: gob, byte-identical to the legacy encoding.
+	// A registered type: tagBinary, its codec id, its AppendBinary bytes.
 	b, err = appendValue(nil, &payload{N: 9, S: "s"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b[0] != tagGob {
-		t.Fatalf("tag = %d", b[0])
-	}
-	legacy, err := encodeValue(&payload{N: 9, S: "s"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b[1:], legacy) {
-		t.Error("tagGob bytes differ from the legacy gob encoding")
+	want, _ := (&payload{N: 9, S: "s"}).AppendBinary(appendUv([]byte{tagBinary}, payloadCodecID))
+	if !bytes.Equal(b, want) {
+		t.Fatalf("tagged payload = %v, want %v", b, want)
 	}
 	v, err = decodeTaggedValue(b)
 	if err != nil {
@@ -142,12 +137,57 @@ func TestTaggedValueRoundTrip(t *testing.T) {
 		t.Fatalf("value = %+v", p)
 	}
 
+	// An epoch-carrying value travels inside a tagEpoch prefix.
+	b, err = appendValue(nil, &dhttest.EpochValue{Epoch: 300, Body: "e"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b[0] != tagEpoch || storedEpoch(b) != 300 {
+		t.Fatalf("epoch-tagged value = %v", b)
+	}
+	if v, err := decodeTaggedValue(b); err != nil || v.(*dhttest.EpochValue).Epoch != 300 {
+		t.Fatalf("epoch-tagged round trip = %v, %v", v, err)
+	}
+
+	// A type with no codec does not encode.
+	if _, err := appendValue(nil, struct{ X int }{1}); err == nil {
+		t.Error("unregistered type encoded")
+	}
+
 	// Garbage tags error.
 	if _, err := decodeTaggedValue(nil); err == nil {
 		t.Error("empty tagged value should fail")
 	}
 	if _, err := decodeTaggedValue([]byte{99, 1, 2}); err == nil {
 		t.Error("unknown tag should fail")
+	}
+	if _, err := decodeTaggedValue([]byte{1, 1, 2}); err == nil {
+		t.Error("the retired gob tag should fail")
+	}
+	if _, err := decodeTaggedValue(appendUv([]byte{tagBinary}, 999)); err == nil {
+		t.Error("unknown codec id should fail")
+	}
+	if _, err := decodeTaggedValue([]byte{tagBinary}); err == nil {
+		t.Error("missing codec id should fail")
+	}
+}
+
+// TestServerClosesUnframedConn pins the server's one protocol: a
+// connection that does not open with the wire magic is closed unanswered.
+func TestServerClosesUnframedConn(t *testing.T) {
+	addrs := startServers(t, 1)
+	conn, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write(append([]byte("GARB"), buildFrame(1, dht.OpPing, nil)...)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(conn)
+	if err != nil || len(got) != 0 {
+		t.Fatalf("unframed connection answered %q, %v; want a silent close", got, err)
 	}
 }
 
@@ -183,7 +223,7 @@ func TestServerSurvivesMalformedPeer(t *testing.T) {
 		_, _ = io.Copy(io.Discard, conn)
 	}
 
-	send([]byte("GARB"))                                                                                // bad magic: not a frame, not valid gob
+	send([]byte("GARB"))                                                                                // bad magic: closed unanswered
 	send([]byte(wireMagic))                                                                             // magic then silence
 	send(append([]byte(wireMagic), 0xff, 0xff, 0xff, 0xff))                                             // oversized length
 	send(append([]byte(wireMagic), 0, 0, 0, 2, 1, 2))                                                   // length below header

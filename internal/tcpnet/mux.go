@@ -18,9 +18,8 @@ import (
 // their frames into the socket and a reader goroutine correlates response
 // frames back to waiters through a request-id-keyed pending table. A
 // cancelled caller abandons its pending slot and walks away — the
-// connection (and everyone else's in-flight requests) keeps going, unlike
-// the legacy gob path, which could only interrupt a round trip by killing
-// the shared connection.
+// connection (and everyone else's in-flight requests) keeps going; only
+// a transport failure tears the shared connection down.
 //
 // The connection dials lazily and redials after a failure; every dial is
 // health-checked with a synchronous ping before the connection is handed
@@ -36,6 +35,16 @@ type mconn struct {
 	gate   redialGate // lazy-redial cooldown (breaker-backed when health is on)
 	closed bool
 	hwm    int // high-water mark of in-flight requests, across generations
+}
+
+// deadline translates the context into a socket deadline: the context's
+// deadline when set, otherwise none (the zero time clears any previous
+// deadline on a reused connection).
+func deadline(ctx context.Context) time.Time {
+	if d, ok := ctx.Deadline(); ok {
+		return d
+	}
+	return time.Time{}
 }
 
 // wireState is one generation of an mconn's underlying connection: a

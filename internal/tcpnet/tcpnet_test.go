@@ -1,16 +1,20 @@
 package tcpnet
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 
+	"lht/internal/bitlabel"
 	"lht/internal/dht"
 	ilht "lht/internal/lht"
 	"lht/internal/record"
@@ -44,15 +48,30 @@ func startCluster(t *testing.T, n int) (*Client, []*Server) {
 	return c, servers
 }
 
+// payload is the tests' non-[]byte value: a struct with its own binary
+// codec, registered the way an embedding program registers its types.
 type payload struct {
 	N int
 	S string
 }
 
-func init() {
-	gob.Register(&payload{})
-	gob.Register(&ilht.Bucket{})
+// payloadCodecID keeps clear of the module's own codec ids.
+const payloadCodecID = 1 << 20
+
+func (p *payload) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.AppendVarint(b, int64(p.N))
+	return append(b, p.S...), nil
 }
+
+func decodePayload(data []byte) (*payload, error) {
+	n, k := binary.Varint(data)
+	if k <= 0 {
+		return nil, errors.New("payload: truncated")
+	}
+	return &payload{N: int(n), S: string(data[k:])}, nil
+}
+
+func init() { dht.RegisterValue(payloadCodecID, decodePayload) }
 
 func TestClusterBasicOps(t *testing.T) {
 	c, servers := startCluster(t, 3)
@@ -232,7 +251,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	srv := NewServer()
 	for i := 0; i < 50; i++ {
-		srv.apply(request{Op: opPut, Key: fmt.Sprintf("k%d", i), Val: []byte{byte(i)}})
+		srv.store[fmt.Sprintf("k%d", i)] = []byte{tagRaw, byte(i)}
 	}
 	if err := srv.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
@@ -245,9 +264,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if restored.Len() != 50 {
 		t.Fatalf("restored %d keys, want 50", restored.Len())
 	}
-	resp := restored.apply(request{Op: opGet, Key: "k7"})
-	if !resp.Found || resp.Val[0] != 7 {
-		t.Fatalf("restored value = %+v", resp)
+	if v := restored.store["k7"]; !bytes.Equal(v, []byte{tagRaw, 7}) {
+		t.Fatalf("restored value = %v", v)
 	}
 
 	// Missing snapshot is a fresh node, not an error.
@@ -328,5 +346,150 @@ func TestNodeRestartPreservesIndex(t *testing.T) {
 		if _, _, err := ix2.Search(k); err != nil {
 			t.Fatalf("after restart, Search(%v): %v", k, err)
 		}
+	}
+}
+
+// writeLegacySnapshot writes store as a snapshot of the given format,
+// the way a node that still spoke gob values saved its shard.
+func writeLegacySnapshot(t *testing.T, path string, format int, store map[string][]byte) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := gob.NewEncoder(f).Encode(snapshot{Format: format, Store: store}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// legacyGob is the retired gob value encoding: an interface-typed gob
+// stream, as the old client wrote every non-[]byte value.
+func legacyGob(t *testing.T, v dht.Value) []byte {
+	t.Helper()
+	legacyGobTypes()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotMigratesGobValues loads format-1 and format-2 snapshots
+// holding gob values — buckets behind an epoch tag, bare buckets, gob and
+// raw bytes — and requires a binary client to read back equal buckets,
+// with the stored epoch tags serving CAS compares.
+func TestSnapshotMigratesGobValues(t *testing.T) {
+	ctx := context.Background()
+	buckets := []*ilht.Bucket{
+		{Label: bitlabel.MustParse("#0"), Epoch: 3},
+		{
+			Label:   bitlabel.MustParse("#0110"),
+			Records: []record.Record{{Key: 0.4, Value: []byte("a")}, {Key: 0.41}},
+			Epoch:   9,
+			Pending: ilht.Pending{Kind: ilht.PendingMerge, RemoveKey: "#0111", PeerEpoch: 4},
+			Rate:    2.5, RateAt: 77,
+		},
+	}
+	epochTagged := func(b *ilht.Bucket) []byte {
+		v := append([]byte{tagEpoch}, appendUv(nil, b.Epoch)...)
+		return append(append(v, legacyTagGob), legacyGob(t, b)...)
+	}
+	format2 := map[string][]byte{
+		"b0":      epochTagged(buckets[0]),
+		"b1":      epochTagged(buckets[1]),
+		"gobraw":  append([]byte{legacyTagGob}, legacyGob(t, []byte("gb"))...),
+		"raw":     {tagRaw, 'r'},
+		"payload": append([]byte{legacyTagGob}, legacyGob(t, &payload{N: 5, S: "p"})...),
+	}
+	format1 := map[string][]byte{
+		"b0":     legacyGob(t, buckets[0]),
+		"b1":     legacyGob(t, buckets[1]),
+		"gobraw": legacyGob(t, []byte("gb")),
+	}
+	for _, tc := range []struct {
+		format int
+		store  map[string][]byte
+	}{{2, format2}, {1, format1}} {
+		t.Run(fmt.Sprintf("format%d", tc.format), func(t *testing.T) {
+			path := t.TempDir() + "/old.snap"
+			writeLegacySnapshot(t, path, tc.format, tc.store)
+			srv := NewServer()
+			if err := srv.LoadSnapshot(path); err != nil {
+				t.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() { _ = srv.Serve(ln) }()
+			t.Cleanup(func() { _ = srv.Close() })
+			c, err := DialContext(ctx, []string{ln.Addr().String()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = c.Close() })
+
+			for i, want := range buckets {
+				key := fmt.Sprintf("b%d", i)
+				v, err := c.Get(ctx, key)
+				if err != nil {
+					t.Fatalf("Get(%s): %v", key, err)
+				}
+				if !reflect.DeepEqual(v, want) {
+					t.Fatalf("Get(%s) = %#v, want %#v", key, v, want)
+				}
+				// The migrated value carries its epoch tag: a stale CAS
+				// loses to exactly the bucket's epoch.
+				var cf *dht.CASConflictError
+				if err := c.PutIf(ctx, key, want, want.Epoch+1); !errors.As(err, &cf) || cf.WinnerEpoch != want.Epoch {
+					t.Fatalf("PutIf(%s, stale) = %v, want conflict with winner %d", key, err, want.Epoch)
+				}
+				srv.mu.Lock()
+				got := storedEpoch(srv.store[key])
+				srv.mu.Unlock()
+				if got != want.Epoch {
+					t.Fatalf("stored epoch of %s = %d, want %d", key, got, want.Epoch)
+				}
+			}
+			if v, err := c.Get(ctx, "gobraw"); err != nil || !bytes.Equal(v.([]byte), []byte("gb")) {
+				t.Fatalf("Get(gobraw) = %v, %v", v, err)
+			}
+			if tc.format == 2 {
+				if v, err := c.Get(ctx, "raw"); err != nil || !bytes.Equal(v.([]byte), []byte("r")) {
+					t.Fatalf("Get(raw) = %v, %v", v, err)
+				}
+				if v, err := c.Get(ctx, "payload"); err != nil || *v.(*payload) != (payload{N: 5, S: "p"}) {
+					t.Fatalf("Get(payload) = %v, %v", v, err)
+				}
+			}
+			// The migrated store saves as format 3 and reloads unchanged.
+			again := t.TempDir() + "/new.snap"
+			if err := srv.SaveSnapshot(again); err != nil {
+				t.Fatal(err)
+			}
+			reloaded := NewServer()
+			if err := reloaded.LoadSnapshot(again); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(reloaded.store, srv.store) {
+				t.Fatal("format-3 reload differs from the migrated store")
+			}
+		})
+	}
+}
+
+// TestSnapshotMigrationRefusesUnknownGob fails the load of a gob value
+// whose type has no binary codec rather than keeping bytes no client can
+// read.
+func TestSnapshotMigrationRefusesUnknownGob(t *testing.T) {
+	type orphan struct{ X int }
+	gob.Register(&orphan{})
+	path := t.TempDir() + "/old.snap"
+	writeLegacySnapshot(t, path, 2, map[string][]byte{
+		"o": append([]byte{legacyTagGob}, legacyGob(t, &orphan{X: 1})...),
+	})
+	if err := NewServer().LoadSnapshot(path); err == nil {
+		t.Fatal("a gob value with no binary codec loaded")
 	}
 }

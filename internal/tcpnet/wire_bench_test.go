@@ -8,7 +8,10 @@ import (
 	"net"
 	"testing"
 
+	"lht/internal/bitlabel"
 	"lht/internal/dht"
+	ilht "lht/internal/lht"
+	"lht/internal/record"
 )
 
 // BenchmarkFrameEncode measures pure codec cost: building a put frame
@@ -86,18 +89,43 @@ func startBenchServers(b *testing.B, n int) []string {
 	return addrs
 }
 
-// BenchmarkWireGet / BenchmarkWirePut compare the full client round trip
-// across codecs with a raw []byte value: run with -benchmem to see the
-// allocs/op gap that ablation A8 gates on.
-func BenchmarkWireGet(b *testing.B) {
-	for _, w := range []struct {
+// wireBenchValues are the values the Get/Put round-trip benchmarks carry:
+// a raw []byte and index buckets of the sizes ablation A8 gates on.
+func wireBenchValues() []struct {
+	name string
+	val  dht.Value
+} {
+	vals := []struct {
 		name string
-		wire Wire
-	}{{"binary", WireBinary}, {"gob", WireGob}} {
-		b.Run(w.name, func(b *testing.B) {
-			c := benchCluster(b, WithWire(w.wire))
+		val  dht.Value
+	}{{"bytes", bytes.Repeat([]byte("x"), 256)}}
+	for _, n := range []int{1, 64, 100} {
+		vals = append(vals, struct {
+			name string
+			val  dht.Value
+		}{fmt.Sprintf("bucket%d", n), benchBucket(n)})
+	}
+	return vals
+}
+
+// benchBucket is a leaf bucket holding n records with 16-byte values.
+func benchBucket(n int) *ilht.Bucket {
+	b := &ilht.Bucket{Label: bitlabel.MustParse("#0110"), Epoch: 7}
+	for i := 0; i < n; i++ {
+		b.Records = append(b.Records, record.Record{Key: float64(i) / float64(n+1), Value: bytes.Repeat([]byte("v"), 16)})
+	}
+	return b
+}
+
+// BenchmarkWireGet / BenchmarkWirePut measure the full client round trip
+// per value kind: run with -benchmem to see the allocs/op ablation A8
+// gates on.
+func BenchmarkWireGet(b *testing.B) {
+	for _, v := range wireBenchValues() {
+		b.Run(v.name, func(b *testing.B) {
+			c := benchCluster(b)
 			ctx := context.Background()
-			if err := c.Put(ctx, "k", bytes.Repeat([]byte("x"), 256)); err != nil {
+			if err := c.Put(ctx, "k", v.val); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -112,18 +140,14 @@ func BenchmarkWireGet(b *testing.B) {
 }
 
 func BenchmarkWirePut(b *testing.B) {
-	for _, w := range []struct {
-		name string
-		wire Wire
-	}{{"binary", WireBinary}, {"gob", WireGob}} {
-		b.Run(w.name, func(b *testing.B) {
-			c := benchCluster(b, WithWire(w.wire))
+	for _, v := range wireBenchValues() {
+		b.Run(v.name, func(b *testing.B) {
+			c := benchCluster(b)
 			ctx := context.Background()
-			val := bytes.Repeat([]byte("x"), 256)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := c.Put(ctx, "k", val); err != nil {
+				if err := c.Put(ctx, "k", v.val); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -150,39 +174,32 @@ func BenchmarkWirePipelined(b *testing.B) {
 	})
 }
 
-// BenchmarkWireGetBatch compares a 64-key batch across codecs.
+// BenchmarkWireGetBatch measures a 64-key batch of raw values.
 func BenchmarkWireGetBatch(b *testing.B) {
 	const n = 64
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("bk-%03d", i)
 	}
-	for _, w := range []struct {
-		name string
-		wire Wire
-	}{{"binary", WireBinary}, {"gob", WireGob}} {
-		b.Run(w.name, func(b *testing.B) {
-			c := benchCluster(b, WithWire(w.wire))
-			ctx := context.Background()
-			kvs := make([]dht.KV, n)
-			for i, k := range keys {
-				kvs[i] = dht.KV{Key: k, Val: []byte("v-" + k)}
+	c := benchCluster(b)
+	ctx := context.Background()
+	kvs := make([]dht.KV, n)
+	for i, k := range keys {
+		kvs[i] = dht.KV{Key: k, Val: []byte("v-" + k)}
+	}
+	for _, err := range c.PutBatch(ctx, kvs) {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, errs := c.GetBatch(ctx, keys)
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
 			}
-			for _, err := range c.PutBatch(ctx, kvs) {
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, errs := c.GetBatch(ctx, keys)
-				for _, err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
+		}
 	}
 }

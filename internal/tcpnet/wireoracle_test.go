@@ -1,96 +1,32 @@
 package tcpnet
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
-	"net"
+	"reflect"
 	"testing"
-	"time"
 
+	"lht/internal/dht"
 	ilht "lht/internal/lht"
 	"lht/internal/record"
 )
 
-// servedCounters are the cost-model counters a tcpnet server maintains,
-// summed across a cluster.
-type servedCounters struct {
-	Lookups, FailedGets, BatchOps, BatchedKeys, RoundTrips int64
+// indexCost is the slice of an index's cost counters the codec oracle
+// compares across substrates.
+type indexCost struct {
+	Lookups, BatchOps, BatchedKeys, Splits, Merges int64
 }
 
-func sumServed(servers []*Server) servedCounters {
-	var tot servedCounters
-	for _, s := range servers {
-		f := s.Metrics().Flat()
-		tot.Lookups += f.Lookups
-		tot.FailedGets += f.FailedGets
-		tot.BatchOps += f.BatchOps
-		tot.BatchedKeys += f.BatchedKeys
-		tot.RoundTrips += f.RoundTrips()
-	}
-	return tot
-}
-
-// runWireArm boots a cluster, runs the oracle workload over the given
-// wire format, and returns the gob-encoded tree plus the served counters.
-// On the first call *addrs is empty and the cluster picks fresh ports,
-// recording them; later calls rebind the same ports so consistent hashing
-// assigns every key to the same node in every arm (server-side batch
-// counters depend on how keys group by owner). Everything is torn down
-// before returning so the next arm can bind.
-func runWireArm(t *testing.T, addrs *[]string, wire Wire) ([]byte, servedCounters) {
+// runOracleWorkload drives a deterministic index workload over d — bulk
+// load (the batch plane), point inserts, deletes, searches and range
+// queries — and returns the final leaves plus the index's cost counters.
+func runOracleWorkload(t *testing.T, d dht.DHT) ([]*ilht.Bucket, indexCost) {
 	t.Helper()
-	fresh := len(*addrs) == 0
-	servers := make([]*Server, 0, 3)
-	var conns []*Client
-	for i := 0; i < 3; i++ {
-		var ln net.Listener
-		var err error
-		if fresh {
-			ln, err = net.Listen("tcp", "127.0.0.1:0")
-		} else {
-			for try := 0; try < 100; try++ {
-				ln, err = net.Listen("tcp", (*addrs)[i])
-				if err == nil {
-					break
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-		}
-		if err != nil {
-			t.Skipf("port not reusable for the second arm: %v", err)
-		}
-		if fresh {
-			*addrs = append(*addrs, ln.Addr().String())
-		}
-		srv := NewServer()
-		go func() { _ = srv.Serve(ln) }()
-		servers = append(servers, srv)
-	}
-	defer func() {
-		for _, c := range conns {
-			_ = c.Close()
-		}
-		for _, s := range servers {
-			_ = s.Close()
-		}
-	}()
-
-	c, err := DialContext(context.Background(), *addrs, WithWire(wire))
+	ix, err := ilht.New(d, ilht.Config{SplitThreshold: 8, MergeThreshold: 6, Depth: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	conns = append(conns, c)
-
-	ix, err := ilht.New(c, ilht.Config{SplitThreshold: 8, MergeThreshold: 6, Depth: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Deterministic workload: bulk load (exercises the batch plane), point
-	// inserts, deletes, searches and range queries, including misses.
 	rng := rand.New(rand.NewSource(99))
 	recs := make([]record.Record, 200)
 	for i := range recs {
@@ -103,7 +39,13 @@ func runWireArm(t *testing.T, addrs *[]string, wire Wire) ([]byte, servedCounter
 	for i := 0; i < 120; i++ {
 		k := rng.Float64()
 		keys = append(keys, k)
-		if _, err := ix.Insert(record.Record{Key: k, Value: []byte("ins")}); err != nil {
+		// Every fifth insert carries an empty value, which must come
+		// back nil as it does in-process.
+		var v []byte
+		if i%5 != 0 {
+			v = []byte("ins")
+		}
+		if _, err := ix.Insert(record.Record{Key: k, Value: v}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,35 +68,35 @@ func runWireArm(t *testing.T, addrs *[]string, wire Wire) ([]byte, servedCounter
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-
 	leaves, err := ix.Leaves()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(leaves); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), sumServed(servers)
+	f := ix.Metrics().Flat()
+	return leaves, indexCost{f.Lookups, f.BatchOps, f.BatchedKeys, f.Splits, f.Merges}
 }
 
-// TestCodecOracle pins the framed binary wire to the legacy gob wire: the
-// identical index workload over each codec must produce byte-identical
-// tree state and byte-identical cost-model counters — the new wire may
-// change how bytes travel, never what the index observes or what the cost
-// model charges.
+// TestCodecOracle pins the binary value codec to the in-process
+// substrate, which stores buckets as live objects and encodes nothing:
+// the identical index workload must leave deeply equal trees and charge
+// identical costs. The codec may change how bytes travel, never what the
+// index observes or what the cost model charges.
 func TestCodecOracle(t *testing.T) {
-	var addrs []string
-	binTree, binServed := runWireArm(t, &addrs, WireBinary)
-	gobTree, gobServed := runWireArm(t, &addrs, WireGob)
+	c, err := DialContext(context.Background(), startServers(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	netTree, netCost := runOracleWorkload(t, c)
+	localTree, localCost := runOracleWorkload(t, dht.NewLocal())
 
-	if !bytes.Equal(binTree, gobTree) {
-		t.Errorf("tree state diverges across codecs: %d vs %d bytes", len(binTree), len(gobTree))
+	if !reflect.DeepEqual(netTree, localTree) {
+		t.Errorf("tree state diverges: %d leaves over tcpnet, %d in-process", len(netTree), len(localTree))
 	}
-	if binServed != gobServed {
-		t.Errorf("cost-model counters diverge across codecs:\n binary: %+v\n gob:    %+v", binServed, gobServed)
+	if netCost != localCost {
+		t.Errorf("cost-model counters diverge:\n tcpnet: %+v\n local:  %+v", netCost, localCost)
 	}
-	if binServed.Lookups == 0 || binServed.BatchOps == 0 {
-		t.Errorf("oracle workload did not exercise the cost model: %+v", binServed)
+	if netCost.Lookups == 0 || netCost.BatchOps == 0 || netCost.Splits == 0 {
+		t.Errorf("oracle workload did not exercise the cost model: %+v", netCost)
 	}
 }

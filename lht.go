@@ -290,9 +290,11 @@ func (ix *Index) GetContext(ctx context.Context, key float64) (Record, Cost, err
 	return ix.inner.SearchContext(ctx, key)
 }
 
-// RangeContext returns every record with key in [lo, hi). A deadline
-// bounds the whole forwarding recursion, and cancellation stops the
-// parallel branch goroutines promptly.
+// RangeContext returns every record with key in [lo, hi) as an
+// unordered set: forwarding gathers leaves in whatever order their
+// replies arrive, so most answers are not in key order — sort a copy if
+// order matters. A deadline bounds the whole forwarding recursion, and
+// cancellation stops the parallel branch goroutines promptly.
 func (ix *Index) RangeContext(ctx context.Context, lo, hi float64) ([]Record, Cost, error) {
 	return ix.inner.RangeContext(ctx, lo, hi)
 }

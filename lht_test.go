@@ -119,10 +119,3 @@ func TestPublicAPIOverKademlia(t *testing.T) {
 		t.Fatal("empty range result")
 	}
 }
-
-func TestRegisterGobTypes(t *testing.T) {
-	// Double registration must not panic (gob panics on conflicting
-	// registrations only).
-	lht.RegisterGobTypes()
-	lht.RegisterGobTypes()
-}

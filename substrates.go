@@ -2,12 +2,10 @@ package lht
 
 import (
 	"context"
-	"encoding/gob"
 
 	"lht/internal/chord"
 	"lht/internal/dht"
 	"lht/internal/kademlia"
-	ilht "lht/internal/lht"
 )
 
 // DHT is the substrate interface LHT runs over: a flat key-value store
@@ -206,11 +204,4 @@ func NewChordDHT(n int, cfg ChordConfig) (*ChordRing, error) {
 // is itself a DHT.
 func NewKademliaDHT(n int, cfg KademliaConfig) (*KademliaNetwork, error) {
 	return kademlia.NewNetwork(n, cfg)
-}
-
-// RegisterGobTypes registers the index's stored types with encoding/gob,
-// required before using a substrate that serializes values across
-// processes (internal/tcpnet and anything else gob-encoding dht.Value).
-func RegisterGobTypes() {
-	gob.Register(&ilht.Bucket{})
 }
