@@ -137,6 +137,28 @@ func TestContextLabels(t *testing.T) {
 	}
 }
 
+// TestContextLabelsPreBoxed pins the pre-boxed label table: every valid
+// (op, phase) pair reads back exactly through LabelsFrom, an out-of-range
+// pair still round-trips, and labelling a context allocates only the
+// context node, never the value's interface box.
+func TestContextLabelsPreBoxed(t *testing.T) {
+	for op := Op(0); op < NumOps; op++ {
+		for ph := Phase(0); ph < NumPhases; ph++ {
+			ctx := WithPhase(WithOp(context.Background(), op), ph)
+			if lb := LabelsFrom(ctx); lb != (Labels{Op: op, Phase: ph}) {
+				t.Fatalf("WithPhase(WithOp(%v), %v) = %+v", op, ph, lb)
+			}
+		}
+	}
+	if lb := LabelsFrom(WithPhase(WithOp(context.Background(), Op(99)), Phase(-1))); lb != (Labels{Op: 99, Phase: -1}) {
+		t.Fatalf("out-of-range labels = %+v", lb)
+	}
+	base := context.Background()
+	if n := testing.AllocsPerRun(100, func() { _ = WithPhase(WithOp(base, OpGet), PhaseProbe) }); n != 2 {
+		t.Errorf("WithOp+WithPhase = %v allocs, want 2 (the two context nodes)", n)
+	}
+}
+
 func TestOpPhaseStrings(t *testing.T) {
 	if OpGet.String() != "get" || OpBulkLoad.String() != "bulkload" || Op(99).String() != "invalid" {
 		t.Fatal("Op.String mismatch")

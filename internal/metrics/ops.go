@@ -70,6 +70,26 @@ type Labels struct {
 
 type labelsKey struct{}
 
+// boxedLabels holds every valid Labels value already boxed in an
+// interface, built once, so labelling a context allocates only the
+// context node and never the value's box.
+var boxedLabels = func() (t [NumOps][NumPhases]any) {
+	for op := range t {
+		for ph := range t[op] {
+			t[op][ph] = Labels{Op: Op(op), Phase: Phase(ph)}
+		}
+	}
+	return t
+}()
+
+// boxed returns lb as an interface value, pre-boxed when it is valid.
+func (lb Labels) boxed() any {
+	if lb.Op >= 0 && lb.Op < NumOps && lb.Phase >= 0 && lb.Phase < NumPhases {
+		return boxedLabels[lb.Op][lb.Phase]
+	}
+	return lb
+}
+
 // WithOp starts a new operation scope: it labels ctx with the given
 // class and resets the phase to PhaseOther. Index entry points call
 // this once; everything beneath inherits the class.
@@ -77,7 +97,7 @@ func WithOp(ctx context.Context, op Op) context.Context {
 	if lb := LabelsFrom(ctx); lb.Op == op && lb.Phase == PhaseOther {
 		return ctx
 	}
-	return context.WithValue(ctx, labelsKey{}, Labels{Op: op})
+	return context.WithValue(ctx, labelsKey{}, Labels{Op: op}.boxed())
 }
 
 // WithPhase labels ctx with the algorithm phase, keeping the operation
@@ -89,7 +109,7 @@ func WithPhase(ctx context.Context, phase Phase) context.Context {
 		return ctx
 	}
 	lb.Phase = phase
-	return context.WithValue(ctx, labelsKey{}, lb)
+	return context.WithValue(ctx, labelsKey{}, lb.boxed())
 }
 
 // LabelsFrom returns the attribution labels on ctx, or the zero Labels

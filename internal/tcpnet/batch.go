@@ -110,11 +110,9 @@ func (c *Client) groupByOwner(keys []string) map[*clientNode][]int {
 // primary; higher ranks exist only with replication on).
 func (c *Client) groupByRank(keys []string, rank int) map[*clientNode][]int {
 	groups := make(map[*clientNode][]int)
+	var buf [4]*clientNode
 	for i, k := range keys {
-		n := c.owner(k)
-		if rank > 0 {
-			n = c.owners(k)[rank]
-		}
+		n := c.appendOwners(buf[:0], k)[rank]
 		groups[n] = append(groups[n], i)
 	}
 	return groups

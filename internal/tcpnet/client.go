@@ -261,7 +261,7 @@ func Dial(ctx context.Context, cfg ClusterConfig) (*Client, error) {
 	}
 	// Validated against the built member list, after the duplicate check:
 	// the replica count must never exceed the number of distinct nodes, or
-	// owners() would hand out short holder sets and the per-rank batch
+	// appendOwners would hand out short holder sets and the per-rank batch
 	// fan-out would index past them.
 	if o.replicas > len(nodes) {
 		return nil, fmt.Errorf("tcpnet: %d replicas exceed the %d-node cluster", o.replicas, len(nodes))
@@ -401,16 +401,21 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// owner returns the node responsible for key: the first node clockwise
-// from hash(key).
-func (c *Client) owner(key string) *clientNode {
-	nodes := c.ringNodes()
+// ownerIndex returns the ring position of key's owner in nodes: the
+// first node clockwise from hash(key).
+func ownerIndex(nodes []*clientNode, key string) int {
 	h := hashring.HashKey(key)
 	i := sort.Search(len(nodes), func(i int) bool { return nodes[i].id >= h })
 	if i == len(nodes) {
 		i = 0
 	}
-	return nodes[i]
+	return i
+}
+
+// owner returns the node responsible for key.
+func (c *Client) owner(key string) *clientNode {
+	nodes := c.ringNodes()
+	return nodes[ownerIndex(nodes, key)]
 }
 
 // MaxInFlight reports the highest number of requests any single

@@ -235,7 +235,7 @@ func (c *Client) EnsureReplicated(ctx context.Context, key string) (dht.ReplicaR
 	if c.replicas <= 1 {
 		return rep, nil
 	}
-	owners := c.owners(key)
+	owners := c.appendOwners(nil, key)
 	vals := make([][]byte, len(owners))
 	errs := make([]error, len(owners))
 	for i, n := range owners {
@@ -369,7 +369,8 @@ func (c *Client) fetchStatus(ctx context.Context) (dht.ClusterView, map[string]i
 // again.
 func (c *Client) parkHint(ctx context.Context, key, holderAddr string, v dht.Value) error {
 	err := errors.New("tcpnet: no substitute for hint")
-	for _, n := range c.owners(key) {
+	var buf [4]*clientNode
+	for _, n := range c.appendOwners(buf[:0], key) {
 		if n.addr == holderAddr {
 			continue
 		}

@@ -182,7 +182,7 @@ func TestHintedHandoffParksAndReplays(t *testing.T) {
 	// Choose the downed holder as the SECONDARY of the key so the primary
 	// stays up to accept both its copy and the park.
 	key := "hh-key"
-	owners := c.owners(key)
+	owners := c.appendOwners(nil, key)
 	victim := owners[1].addr
 	var victimIdx int
 	for i, a := range addrs {
@@ -245,7 +245,7 @@ func TestEnsureReplicated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sabotage one copy directly in a holder's store.
-	victim := c.owners("k")[1]
+	victim := c.appendOwners(nil, "k")[1]
 	for _, s := range srvs {
 		s.mu.Lock()
 		if s.mem.self == victim.addr {
@@ -351,7 +351,7 @@ func TestRefreshViewRevivesBreaker(t *testing.T) {
 	// cooldown guarantees the breaker cannot recover on its own within
 	// this test: only the revive path can close it.
 	key := "revive-key"
-	victim := c.owners(key)[0].addr
+	victim := c.appendOwners(nil, key)[0].addr
 	var victimIdx int
 	for i, a := range addrs {
 		if a == victim {

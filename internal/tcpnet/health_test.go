@@ -241,7 +241,7 @@ func TestOpenHolderFailsOverImmediately(t *testing.T) {
 	if err := c.Put(ctx, key, &payload{N: 7}); err != nil {
 		t.Fatal(err)
 	}
-	holders := c.owners(key)
+	holders := c.appendOwners(nil, key)
 	secondary := holders[1]
 	_ = srvs[secondary.addr].Close()
 

@@ -13,18 +13,22 @@ package tcpnet
 //     epoch tag is older than what it already stores;
 //   - Get and Take rotate their starting holder per request across the
 //     secondary holders — keeping a hot key's read queue off its CAS
-//     serializer — and fall back through the remaining holders (the
-//     primary included) so a lagging replica costs an extra round trip,
-//     never a wrong answer.
+//     serializer. Get then falls back to the primary and on through the
+//     rest, so a lagging replica costs an extra round trip, never a wrong
+//     answer, and it settles a miss once the primary and one other
+//     holder have both answered NotFound (see replicatedGet): an absent
+//     key costs two round trips, not one per holder.
 //
 // A key is therefore never *stale* on a reachable holder (every accepted
 // write reaches all of them synchronously), at most *absent* where a
-// fan-out has not landed yet, and absence falls back. Concurrent writers
-// to one key are serialized by the primary's CAS, but their fan-outs may
-// interleave on the network; the epoch-ordered propagation makes that
-// harmless — if commit N's fan-out overtakes commit N-1's, the straggler
-// is rejected on arrival instead of durably rolling a holder back. The
-// one remaining divergence window is a removal racing an earlier
+// fan-out has not landed yet, and absence falls back until the primary
+// and one other holder agree on it; replicatedGet names the one window
+// that leaves (a double fault stranding a key on one secondary).
+// Concurrent writers to one key are serialized by the primary's CAS, but
+// their fan-outs may interleave on the network; the epoch-ordered
+// propagation makes that harmless — if commit N's fan-out overtakes
+// commit N-1's, the straggler is rejected on arrival instead of durably
+// rolling a holder back. The one remaining divergence window is a removal racing an earlier
 // commit's fan-out (a late store can transiently resurrect a copy on a
 // secondary after RemoveIf's propagation deleted it); that copy carries
 // an older epoch, which the index's scrub orders and repairs. Batched
@@ -39,29 +43,20 @@ import (
 	"sync"
 
 	"lht/internal/dht"
-	"lht/internal/hashring"
 )
 
-// owners returns the replica set for key: the owning node plus the next
-// replicas-1 distinct members clockwise, primary first.
-func (c *Client) owners(key string) []*clientNode {
+// appendOwners appends key's replica set to dst and returns the result:
+// the owning node plus the next replicas-1 distinct members clockwise,
+// primary first. Callers on the read path pass a [4]*clientNode stack
+// buffer, so the holder walk allocates nothing.
+func (c *Client) appendOwners(dst []*clientNode, key string) []*clientNode {
 	nodes := c.ringNodes()
-	h := hashring.HashKey(key)
-	i := 0
-	for ; i < len(nodes); i++ {
-		if nodes[i].id >= h {
-			break
-		}
-	}
-	n := c.replicas
-	if n > len(nodes) {
-		n = len(nodes)
-	}
-	out := make([]*clientNode, 0, n)
+	i := ownerIndex(nodes, key)
+	n := min(c.replicas, len(nodes))
 	for k := 0; k < n; k++ {
-		out = append(out, nodes[(i+k)%len(nodes)])
+		dst = append(dst, nodes[(i+k)%len(nodes)])
 	}
-	return out
+	return dst
 }
 
 // rotateStart picks which holder a read of key starts at: the
@@ -100,10 +95,26 @@ func (c *Client) getFrom(ctx context.Context, n *clientNode, key string) (dht.Va
 	return v, err
 }
 
-// replicatedGet reads from the rotated holder, falling back through the
-// rest: a holder that is missing the key (a fan-out it has not seen) or
-// unreachable costs one extra round trip, and only a miss on every
-// holder is a real miss.
+// replicatedGet reads key by walking its holders in the order rotated
+// start → primary → the rest (ascending rank), and returns the first
+// value found. A miss settles once the primary and one other holder have
+// both answered NotFound, so an absent key — a normal step of the
+// index's binary search — costs two round trips, not one per holder.
+// An accepted write is on every reachable holder before it is
+// acknowledged, the primary first where there is an order (CAS commits
+// resolve there before propagating, PutBatch writes rank 0 first), so
+// when one holder is blank or lagging — a rejoined blank node, a missed
+// fan-out, a primary whose copy waits on a hint — the other two still
+// answer for the key. An error from a holder (transport fault, open
+// breaker, spent step budget) never counts as a miss: the walk goes on
+// past it, and a walk that ends unsettled reports the first such error. With two replicas the primary plus one other is every
+// holder, so the rule changes nothing there.
+//
+// The one window the rule adds: a key held only by one secondary, with
+// the primary and another holder reachable and both lacking it, reads as
+// absent. That takes two holders missing one accepted write (a double
+// fault whose hints have not replayed yet); GetBatch's primary-only reads
+// already show such a key as absent whenever the primary lacks it.
 //
 // Degradation contract (WithHealth): a holder whose breaker is open
 // fails in microseconds, so the read moves straight to the next holder —
@@ -115,33 +126,53 @@ func (c *Client) getFrom(ctx context.Context, n *clientNode, key string) (dht.Va
 // A hedged duplicate (dht.MarkHedgeAttempt) starts at the primary
 // instead: first reads never do, so the duplicate is guaranteed a
 // different first holder than the straggler it is racing, whatever the
-// rotation sequence did in between.
+// rotation sequence did in between. Its miss settles in two round trips
+// too.
 func (c *Client) replicatedGet(ctx context.Context, key string) (dht.Value, error) {
-	owners := c.owners(key)
+	var buf [4]*clientNode
+	owners := c.appendOwners(buf[:0], key)
 	start := 0
 	if !dht.IsHedgeAttempt(ctx) {
 		start = c.rotateStart(key, len(owners))
 	}
 	var firstErr error
+	misses, primaryMissed := 0, false
 	for i := range owners {
-		n := owners[(start+i)%len(owners)]
+		// Step 0 is the start holder; steps 1.. visit the other ranks in
+		// ascending order, which puts the primary (rank 0) right after a
+		// secondary start.
+		rank := start
+		if i > 0 {
+			rank = i - 1
+			if rank >= start {
+				rank = i
+			}
+		}
+		n := owners[rank]
 		actx, cancel := stepCtx(ctx, len(owners)-i)
 		v, err := c.getFrom(actx, n, key)
 		cancel()
 		if err == nil {
 			return v, nil
 		}
-		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-			// The step budget expired, not the caller's deadline: to the
-			// caller this is an ordinary transient holder fault (the
-			// breaker already recorded the timeout against the node), so
-			// it must stay retryable — context.DeadlineExceeded would
-			// wrongly read as the caller's own deadline and stop a
-			// policy-layer retry loop cold.
-			err = dht.MarkTransient(fmt.Errorf(
-				"tcpnet: holder %q timed out inside its failover budget", n.addr))
-		}
-		if !errors.Is(err, dht.ErrNotFound) {
+		if errors.Is(err, dht.ErrNotFound) {
+			misses++
+			primaryMissed = primaryMissed || rank == 0
+			if primaryMissed && misses >= 2 {
+				return nil, dht.ErrNotFound
+			}
+		} else {
+			if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
+				// The step budget expired, not the caller's deadline: to
+				// the caller this is an ordinary transient holder fault
+				// (the breaker already recorded the timeout against the
+				// node), so it must stay retryable —
+				// context.DeadlineExceeded would wrongly read as the
+				// caller's own deadline and stop a policy-layer retry
+				// loop cold.
+				err = dht.MarkTransient(fmt.Errorf(
+					"tcpnet: holder %q timed out inside its failover budget", n.addr))
+			}
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -164,7 +195,8 @@ func (c *Client) replicatedGet(ctx context.Context, key string) (dht.Value, erro
 // holder that never saw the key is expected mid-fan-out; a transport
 // fault is not).
 func (c *Client) eachOwner(ctx context.Context, key string, op func(*clientNode) error) error {
-	owners := c.owners(key)
+	var buf [4]*clientNode
+	owners := c.appendOwners(buf[:0], key)
 	errs := make([]error, len(owners))
 	var wg sync.WaitGroup
 	for i, n := range owners {
@@ -237,7 +269,7 @@ func (c *Client) replicatedRemove(ctx context.Context, key string) error {
 // holder gives up its copy, the rotated holder's value (first found from
 // the rotated start) is returned.
 func (c *Client) replicatedTake(ctx context.Context, key string) (dht.Value, error) {
-	owners := c.owners(key)
+	owners := c.appendOwners(nil, key)
 	start := c.rotateStart(key, len(owners))
 	vals := make([]dht.Value, len(owners))
 	errs := make([]error, len(owners))
@@ -294,7 +326,8 @@ func (c *Client) replicatedTake(ctx context.Context, key string) (dht.Value, err
 // faults fail over; a logical verdict (CAS conflict, not-found) from
 // any holder settles the op.
 func (c *Client) replicatedCond(ctx context.Context, key string, primary func(*clientNode) error, propagate func(*clientNode) error) error {
-	owners := c.owners(key)
+	var buf [4]*clientNode
+	owners := c.appendOwners(buf[:0], key)
 	acting, err := 0, error(nil)
 	for i, n := range owners {
 		acting, err = i, primary(n)

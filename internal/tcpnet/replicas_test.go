@@ -3,9 +3,11 @@ package tcpnet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"lht/internal/dht"
 	"lht/internal/dht/dhttest"
@@ -86,7 +88,7 @@ func TestReplicatedFailover(t *testing.T) {
 	}
 
 	// Kill the primary: the fallback scan must still serve the key.
-	primary := c.owners("hot")[0]
+	primary := c.appendOwners(nil, "hot")[0]
 	if err := srvs[primary.addr].Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +126,7 @@ func TestReplicaPropagationEpochOrder(t *testing.T) {
 	defer func() { _ = c.Close() }()
 	ctx := context.Background()
 
-	holder := c.owners("k")[1] // a secondary: where fan-outs land
+	holder := c.appendOwners(nil, "k")[1] // a secondary: where fan-outs land
 
 	// Commit N's fan-out lands first...
 	if err := c.putTo(ctx, holder, dht.OpPutNewer, "k", &dhttest.EpochValue{Epoch: 5, Body: "new"}); err != nil {
@@ -202,7 +204,7 @@ func TestReplicatedCASHoldersConverge(t *testing.T) {
 	wg.Wait()
 
 	want := uint64(1 + writers*commitsEach)
-	for rank, holder := range c.owners(key) {
+	for rank, holder := range c.appendOwners(nil, key) {
 		v, err := c.getFrom(ctx, holder, key)
 		if err != nil {
 			t.Fatalf("holder %d (%s): %v", rank, holder.addr, err)
@@ -222,7 +224,7 @@ func TestReplicasValidation(t *testing.T) {
 	}
 	// Duplicate addresses must fail the dial outright — they can never
 	// shrink the distinct-node count below the replica count, which would
-	// leave owners() handing out short holder sets.
+	// leave appendOwners handing out short holder sets.
 	if _, err := DialContext(context.Background(), []string{addrs[0], addrs[0]}, WithReplicas(2)); err == nil {
 		t.Error("duplicated node list dialed")
 	}
@@ -231,10 +233,10 @@ func TestReplicasValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	if got := len(c.owners("k")); got != 2 {
+	if got := len(c.appendOwners(nil, "k")); got != 2 {
 		t.Errorf("owners = %d nodes, want 2", got)
 	}
-	if c.owners("k")[0] != c.owner("k") {
+	if c.appendOwners(nil, "k")[0] != c.owner("k") {
 		t.Error("replica set does not start at the owner")
 	}
 }
@@ -258,7 +260,7 @@ func TestCondSerializerFailover(t *testing.T) {
 	defer static.Close()
 
 	key := "cas-failover"
-	owners := c.owners(key)
+	owners := c.appendOwners(nil, key)
 	primary, secondary := owners[0].addr, owners[1].addr
 	_ = srvs[primary].Close()
 
@@ -286,5 +288,171 @@ func TestCondSerializerFailover(t *testing.T) {
 	}
 	if err := c.CreateIf(ctx, key, []byte("dup")); err == nil {
 		t.Fatal("CreateIf over an existing key must conflict, not fail over")
+	}
+}
+
+// dialReplicated3 dials a 4-node cluster with three replicas per key and
+// returns the client plus the address-to-server map, so tests can read
+// each holder's counters and edit its store directly.
+func dialReplicated3(t *testing.T, health *dht.BreakerConfig) (*Client, map[string]*Server) {
+	t.Helper()
+	addrs, srvs := startServerMap(t, 4)
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs, Replicas: 3, Health: health})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	return c, srvs
+}
+
+// serverMisses sums the NotFound answers every server has sent: each one
+// is one request frame a get spent on a holder lacking the key.
+func serverMisses(srvs map[string]*Server) int64 {
+	var sum int64
+	for _, s := range srvs {
+		sum += s.Metrics().Lookup.FailedGets
+	}
+	return sum
+}
+
+// dropCopy deletes key from one server's store, modelling a holder that
+// missed an accepted write (blank rejoin, lost fan-out).
+func dropCopy(s *Server, key string) {
+	s.mu.Lock()
+	delete(s.store, key)
+	s.mu.Unlock()
+}
+
+// TestReplicatedMissCostsTwoFrames pins the settle rule: a get of an
+// absent key stops once the primary and one other holder have answered
+// NotFound, so a true miss costs exactly two request frames whatever the
+// rotation start — and so does a hedged duplicate, which starts at the
+// primary.
+func TestReplicatedMissCostsTwoFrames(t *testing.T) {
+	c, srvs := dialReplicated3(t, nil)
+	for _, hedged := range []bool{false, true} {
+		ctx := context.Background()
+		if hedged {
+			ctx = dht.MarkHedgeAttempt(ctx)
+		}
+		for k := 0; k < 16; k++ {
+			key := fmt.Sprintf("absent-%d", k)
+			for r := 0; r < 4; r++ { // consecutive reads cover both rotation starts
+				before := serverMisses(srvs)
+				if _, err := c.Get(ctx, key); !errors.Is(err, dht.ErrNotFound) {
+					t.Fatalf("hedged=%v Get(%s) = %v, want ErrNotFound", hedged, key, err)
+				}
+				if got := serverMisses(srvs) - before; got != 2 {
+					t.Fatalf("hedged=%v Get(%s) read %d: miss cost %d request frames, want 2", hedged, key, r, got)
+				}
+			}
+		}
+	}
+}
+
+// TestReplicatedGetFindsKeyPastOneBlankHolder: with any one rank's copy
+// gone from its server's store, the two holders that still have the key
+// answer before the walk can settle a miss, from every rotation start.
+func TestReplicatedGetFindsKeyPastOneBlankHolder(t *testing.T) {
+	c, srvs := dialReplicated3(t, nil)
+	ctx := context.Background()
+	for rank := 0; rank < 3; rank++ {
+		for k := 0; k < 12; k++ {
+			key := fmt.Sprintf("blank-%d-%d", rank, k)
+			if err := c.Put(ctx, key, &payload{N: k}); err != nil {
+				t.Fatal(err)
+			}
+			dropCopy(srvs[c.appendOwners(nil, key)[rank].addr], key)
+			for r := 0; r < 4; r++ {
+				v, err := c.Get(ctx, key)
+				if err != nil || v.(*payload).N != k {
+					t.Fatalf("rank %d blank, Get(%s) read %d = %v, %v", rank, key, r, v, err)
+				}
+			}
+		}
+	}
+}
+
+// TestReplicatedGetPastDownStartHolder: when the holder a read starts at
+// is down, its error is not a miss, so the primary's single NotFound does
+// not settle the read and the walk goes on to the secondary that holds
+// the key. Breakers are on, so the dead holder's opens mid-walk.
+func TestReplicatedGetPastDownStartHolder(t *testing.T) {
+	c, srvs := dialReplicated3(t, &dht.BreakerConfig{Threshold: 1, Cooldown: time.Minute})
+	ctx := context.Background()
+	const key = "lone-copy"
+	owners := c.appendOwners(nil, key)
+	primary, down, keeper := owners[0], owners[1], owners[2]
+	if err := c.putTo(ctx, keeper, dht.OpPut, key, &payload{N: 9}); err != nil {
+		t.Fatal(err)
+	}
+	_ = srvs[down.addr].Close()
+
+	before := srvs[primary.addr].Metrics().Lookup.FailedGets
+	for r := 0; r < 4; r++ { // consecutive reads cover both rotation starts
+		v, err := c.Get(ctx, key)
+		if err != nil || v.(*payload).N != 9 {
+			t.Fatalf("read %d with the start holder down = %v, %v", r, v, err)
+		}
+	}
+	if got := srvs[primary.addr].Metrics().Lookup.FailedGets - before; got == 0 {
+		t.Fatal("no read started at the down holder and fell back through the primary")
+	}
+	if got := c.Health(down.addr); got != dht.BreakerOpen {
+		t.Fatalf("down holder breaker = %v, want open", got)
+	}
+}
+
+// TestReplicatedMissNeedsThePrimary: two secondaries' misses do not
+// settle a read whose primary could not answer — the walk ends unsettled
+// and reports the primary's fault, never a miss, from every rotation
+// start.
+func TestReplicatedMissNeedsThePrimary(t *testing.T) {
+	c, srvs := dialReplicated3(t, &dht.BreakerConfig{Threshold: 1, Cooldown: time.Minute})
+	ctx := context.Background()
+	const key = "no-primary"
+	_ = srvs[c.owner(key).addr].Close()
+	for r := 0; r < 4; r++ { // consecutive reads cover both rotation starts
+		if _, err := c.Get(ctx, key); err == nil || errors.Is(err, dht.ErrNotFound) {
+			t.Fatalf("read %d with the primary down = %v, want the primary's fault", r, err)
+		}
+	}
+}
+
+// TestReplicatedGetSecondaryOnlyWindow pins the one window the settle rule
+// adds: a key held only by one secondary, with the primary and the other
+// secondary reachable and lacking it. A read that starts at the lacking
+// secondary settles on the primary's miss and reports the key absent; a
+// read that starts at the holding secondary finds it. GetBatch's
+// primary-only reads report it absent every time.
+func TestReplicatedGetSecondaryOnlyWindow(t *testing.T) {
+	c, srvs := dialReplicated3(t, nil)
+	ctx := context.Background()
+	const key = "double-fault"
+	owners := c.appendOwners(nil, key)
+	keeper := srvs[owners[1].addr]
+	if err := c.putTo(ctx, owners[1], dht.OpPut, key, &payload{N: 3}); err != nil {
+		t.Fatal(err)
+	}
+
+	var found, absent int
+	for r := 0; r < 4; r++ { // consecutive reads cover both rotation starts
+		asked := keeper.Metrics().Lookup.Total
+		v, err := c.Get(ctx, key)
+		keeperAsked := keeper.Metrics().Lookup.Total > asked
+		switch {
+		case err == nil && v.(*payload).N == 3 && keeperAsked:
+			found++
+		case errors.Is(err, dht.ErrNotFound) && !keeperAsked:
+			absent++
+		default:
+			t.Fatalf("read %d = %v, %v (holder asked: %v)", r, v, err, keeperAsked)
+		}
+	}
+	if found == 0 || absent == 0 {
+		t.Fatalf("found %d, absent %d: want both rotation starts exercised", found, absent)
+	}
+	if _, errs := c.GetBatch(ctx, []string{key}); !errors.Is(errs[0], dht.ErrNotFound) {
+		t.Fatalf("GetBatch = %v, want ErrNotFound from the primary", errs[0])
 	}
 }

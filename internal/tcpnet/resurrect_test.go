@@ -58,7 +58,7 @@ func TestScrubRetiresResurrectedStraggler(t *testing.T) {
 	// The straggler lands: the stale copy reappears on a secondary
 	// holder, after the removal. OpPutNewer accepts it — the holder has
 	// nothing stored, so there is no epoch to order it against.
-	secondary := c.owners("#0")[1]
+	secondary := c.appendOwners(nil, "#0")[1]
 	if err := c.putTo(ctx, secondary, dht.OpPutNewer, "#0", stale); err != nil {
 		t.Fatalf("straggler store: %v", err)
 	}
