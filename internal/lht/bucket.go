@@ -227,36 +227,55 @@ func DecodeBucket(data []byte) (*Bucket, error) {
 	if b.Pending.Kind > PendingMerge {
 		return nil, fmt.Errorf("decode bucket: unknown pending kind %d", b.Pending.Kind)
 	}
-	if n > uint64(len(r.b)/minRecordLen) {
-		return nil, fmt.Errorf("decode bucket: %d records cannot fit in %d bytes", n, len(r.b))
+	body := r.b
+	if n > uint64(len(body)/minRecordLen) {
+		return nil, fmt.Errorf("decode bucket: %d records cannot fit in %d bytes", n, len(body))
 	}
 	// First pass: validate the records and size the value arena.
-	recs := r
-	total := 0
-	for i := uint64(0); i < n; i++ {
-		recs.f64()
-		total += len(recs.lenBytes())
+	p, total := 0, 0
+	for range n {
+		p += 8 // key
+		if p >= len(body) {
+			return nil, errBucketTruncated
+		}
+		// A value length under 128 is one byte, read inline.
+		vlen, m := uint64(body[p]), 1
+		if vlen >= 0x80 {
+			vlen, m = binary.Uvarint(body[p:])
+		}
+		if m <= 0 || vlen > uint64(len(body)-p-m) {
+			return nil, errBucketTruncated
+		}
+		p += m + int(vlen)
+		total += int(vlen)
 	}
-	if recs.bad {
-		return nil, errBucketTruncated
-	}
-	if len(recs.b) != 0 {
-		return nil, fmt.Errorf("decode bucket: %d trailing bytes", len(recs.b))
+	if p != len(body) {
+		return nil, fmt.Errorf("decode bucket: %d trailing bytes", len(body)-p)
 	}
 	if n == 0 {
 		return b, nil // Records stays nil
 	}
+	// Second pass: the records are known good; copy them out.
 	b.Records = make([]record.Record, n)
 	var arena []byte
 	if total > 0 {
 		arena = make([]byte, total)
 	}
+	p = 0
 	for i := range b.Records {
-		b.Records[i].Key = r.f64()
-		if v := r.lenBytes(); len(v) > 0 {
-			n := copy(arena, v)
-			b.Records[i].Value = arena[:n:n]
-			arena = arena[n:]
+		rec := &b.Records[i]
+		rec.Key = math.Float64frombits(binary.BigEndian.Uint64(body[p:]))
+		p += 8
+		vlen, m := uint64(body[p]), 1
+		if vlen >= 0x80 {
+			vlen, m = binary.Uvarint(body[p:])
+		}
+		p += m
+		if vlen > 0 {
+			k := copy(arena, body[p:p+int(vlen)])
+			rec.Value = arena[:k:k]
+			arena = arena[k:]
+			p += k
 		}
 	}
 	return b, nil

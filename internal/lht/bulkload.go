@@ -1,9 +1,11 @@
 package lht
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -48,9 +50,12 @@ const bulkLoadWorkers = 8
 // insertion's ~n*log(D/2) - the standard index-construction optimization.
 //
 // Records with duplicate keys collapse to the last occurrence (matching
-// Insert's replace semantics). Bulk loading performs no splits, so split
-// statistics (AlphaMean) stay empty; MovedRecords counts every shipped
-// slot, as all buckets travel to their responsible peers.
+// Insert's replace semantics); -0 and +0 are one key. Ordering the input
+// takes linear time when it is already in key order and one sort of
+// (key, position) pairs otherwise; recs itself is never modified. Bulk
+// loading performs no splits, so split statistics (AlphaMean) stay
+// empty; MovedRecords counts every shipped slot, as all buckets travel
+// to their responsible peers.
 func (ix *Index) BulkLoad(recs []record.Record) (Cost, error) {
 	return ix.BulkLoadContext(context.Background(), recs)
 }
@@ -75,19 +80,10 @@ func (ix *Index) BulkLoadContext(ctx context.Context, recs []record.Record) (cos
 		return cost, ErrNotEmpty
 	}
 
-	// Deduplicate (last wins) and order by key.
-	dedup := make(map[float64]record.Record, len(recs))
-	for _, r := range recs {
-		if err := keyspace.CheckKey(r.Key); err != nil {
-			return cost, err
-		}
-		dedup[r.Key] = r
+	sorted, err := orderedUnique(recs)
+	if err != nil {
+		return cost, err
 	}
-	sorted := make([]record.Record, 0, len(dedup))
-	for _, r := range dedup {
-		sorted = append(sorted, r)
-	}
-	record.SortByKey(sorted)
 
 	// Partition into leaves exactly as median splits would.
 	var leaves []*Bucket
@@ -196,4 +192,53 @@ func (ix *Index) BulkLoadContext(ctx context.Context, recs []record.Record) (cos
 	// The bootstrap bucket was either replaced (single-leaf result) or
 	// superseded by the new root's leftmost leaf, which shares key "#".
 	return cost, nil
+}
+
+// orderedUnique validates every key in input order (the first bad key
+// fails the load) and returns one record per key, the last occurrence of
+// each, in ascending key order and in a slice with cap == len, so no leaf
+// carved from it shares spare capacity with its neighbour. -0 and +0 are
+// one key. recs is never modified.
+//
+// The ordering works on pointer-free (key, position) pairs: key-ordered
+// input costs only linear passes, anything else one pair sort as well,
+// whose position tie-break keeps the last duplicate last in its run.
+func orderedUnique(recs []record.Record) ([]record.Record, error) {
+	type keyAt struct {
+		key float64
+		at  int
+	}
+	keys := make([]keyAt, len(recs))
+	ascending := true
+	for i, r := range recs {
+		if err := keyspace.CheckKey(r.Key); err != nil {
+			return nil, err
+		}
+		if i > 0 && r.Key < keys[i-1].key {
+			ascending = false
+		}
+		keys[i] = keyAt{r.Key, i}
+	}
+	if !ascending {
+		slices.SortFunc(keys, func(a, b keyAt) int {
+			if c := cmp.Compare(a.key, b.key); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.at, b.at)
+		})
+	}
+	// Keep the last pair of each equal-key run.
+	n := 0
+	for i, k := range keys {
+		if i+1 < len(keys) && keys[i+1].key == k.key {
+			continue
+		}
+		keys[n] = k
+		n++
+	}
+	out := make([]record.Record, n)
+	for i, k := range keys[:n] {
+		out[i] = recs[k.at]
+	}
+	return out, nil
 }

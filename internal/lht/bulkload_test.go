@@ -1,12 +1,16 @@
 package lht
 
 import (
+	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"lht/internal/dht"
+	"lht/internal/keyspace"
 	"lht/internal/record"
 )
 
@@ -156,5 +160,203 @@ func TestBulkLoadEmptyAndClustered(t *testing.T) {
 		if _, _, err := ix2.Search(r.Key); err != nil {
 			t.Fatalf("Search(%v): %v", r.Key, err)
 		}
+	}
+}
+
+// mapSortOrder is the oracle for the loader's ordering step: a map keyed
+// by record key (the last duplicate wins; -0 and +0 are one key), then a
+// sort by key.
+func mapSortOrder(recs []record.Record) ([]record.Record, error) {
+	dedup := make(map[float64]record.Record, len(recs))
+	for _, r := range recs {
+		if err := keyspace.CheckKey(r.Key); err != nil {
+			return nil, err
+		}
+		dedup[r.Key] = r
+	}
+	out := make([]record.Record, 0, len(dedup))
+	for _, r := range dedup {
+		out = append(out, r)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out, nil
+}
+
+// bulkOrderInputs are the input shapes the loader's ordering must handle.
+// Every record's value is its input position, so the test can tell which
+// of two duplicates survived.
+func bulkOrderInputs() map[string][]record.Record {
+	rng := rand.New(rand.NewSource(83))
+	distinct := make([]float64, 3000)
+	for i := range distinct {
+		distinct[i] = rng.Float64()
+	}
+	sort.Float64s(distinct)
+	build := func(keys ...float64) []record.Record {
+		recs := make([]record.Record, len(keys))
+		for i, k := range keys {
+			recs[i] = record.Record{Key: k, Value: []byte{byte(i), byte(i >> 8)}}
+		}
+		return recs
+	}
+	descending := slices.Clone(distinct)
+	slices.Reverse(descending)
+	shuffled := slices.Clone(distinct)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	var adjacent []float64
+	for i, k := range distinct {
+		for range 1 + i%3 {
+			adjacent = append(adjacent, k)
+		}
+	}
+	far := append(slices.Clone(shuffled), shuffled[:1000]...)
+	far = append(far, distinct[500:1500]...)
+	allEqual := make([]float64, 500)
+	for i := range allEqual {
+		allEqual[i] = 0.25
+	}
+	negZero := math.Copysign(0, -1)
+	invalid := slices.Clone(shuffled)
+	invalid[1200] = 1.5
+	invalid[2100] = -0.25
+	invalid[2500] = math.NaN()
+	return map[string][]record.Record{
+		"empty":            nil,
+		"ascending":        build(distinct...),
+		"descending":       build(descending...),
+		"shuffled":         build(shuffled...),
+		"dupsAdjacent":     build(adjacent...),
+		"dupsFar":          build(far...),
+		"allEqual":         build(allEqual...),
+		"zeroLastNegative": build(0, 0.5, negZero, 0.1),
+		"zeroLastPositive": build(negZero, 0.5, 0, 0.1),
+		"zeroAscending":    build(negZero, 0, 0.5, 0.75),
+		"invalidMid":       build(invalid...),
+	}
+}
+
+// bitsEqual compares record lists by key bits (so -0 and +0 differ) and
+// value.
+func bitsEqual(a, b []record.Record) bool {
+	return slices.EqualFunc(a, b, func(x, y record.Record) bool {
+		return math.Float64bits(x.Key) == math.Float64bits(y.Key) && string(x.Value) == string(y.Value)
+	})
+}
+
+// TestBulkLoadOrderMatchesOracle checks the linear-time ordering against
+// the map-and-sort oracle on every input shape, then checks the whole
+// load against an oracle load: the loader run on the oracle's output.
+// Partition and shipping depend only on the ordered records, and sorted
+// unique input passes through the ordering unchanged (the first check
+// shows it on the ascending input). Over dht.Local the two
+// loads must store identical leaves, cost the same and move the same
+// records; every stored leaf's Records must have cap == len, because
+// dht.Local keeps the bucket objects the loader built.
+func TestBulkLoadOrderMatchesOracle(t *testing.T) {
+	cfg := Config{SplitThreshold: 8, MergeThreshold: 4, Depth: 20}
+	for name, recs := range bulkOrderInputs() {
+		t.Run(name, func(t *testing.T) {
+			before := slices.Clone(recs)
+			want, werr := mapSortOrder(recs)
+			got, gerr := orderedUnique(recs)
+			if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+				t.Fatalf("ordering error = %v, oracle %v", gerr, werr)
+			}
+			if !bitsEqual(got, want) {
+				t.Fatalf("ordering = %v\noracle   = %v", got, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("ordered slice cap %d != len %d", cap(got), len(got))
+			}
+
+			dNew, dOld := dht.NewLocal(), dht.NewLocal()
+			ixNew, err := New(dNew, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ixOld, err := New(dOld, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cost, err := ixNew.BulkLoad(recs)
+			if !bitsEqual(recs, before) {
+				t.Fatal("bulk load modified the caller's slice")
+			}
+			if werr != nil {
+				if err == nil || err.Error() != werr.Error() || !errors.Is(err, keyspace.ErrKeyRange) {
+					t.Fatalf("BulkLoad error = %v, want %v", err, werr)
+				}
+				if n, cerr := ixNew.Count(); cerr != nil || n != 0 {
+					t.Fatalf("failed load left %d records, %v", n, cerr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCost, err := ixOld.BulkLoad(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cost != wantCost {
+				t.Errorf("Cost = %+v, oracle load %+v", cost, wantCost)
+			}
+			if m, w := ixNew.Metrics().Lookup.MovedRecords, ixOld.Metrics().Lookup.MovedRecords; m != w {
+				t.Errorf("MovedRecords = %d, oracle load %d", m, w)
+			}
+			keys, wantKeys := dNew.Keys(), dOld.Keys()
+			slices.Sort(keys)
+			slices.Sort(wantKeys)
+			if !slices.Equal(keys, wantKeys) {
+				t.Fatalf("stored keys %v, oracle load %v", keys, wantKeys)
+			}
+			for _, k := range keys {
+				bv, _ := dNew.Get(context.Background(), k)
+				wv, _ := dOld.Get(context.Background(), k)
+				b, w := bv.(*Bucket), wv.(*Bucket)
+				if b.Label != w.Label || b.Epoch != w.Epoch || !bitsEqual(b.Records, w.Records) || (b.Records == nil) != (w.Records == nil) {
+					t.Errorf("leaf %q = %v %v, oracle load %v %v", k, b.Label, b.Records, w.Label, w.Records)
+				}
+				if cap(b.Records) != len(b.Records) {
+					t.Errorf("leaf %s Records cap %d != len %d", b.Label, cap(b.Records), len(b.Records))
+				}
+			}
+			if err := ixNew.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkBulkLoad loads 2^16 records into an empty index over
+// dht.Local, from key-ordered and from shuffled input. Allocations show
+// a return to a map or to a reflective sort in the ordering step.
+func BenchmarkBulkLoad(b *testing.B) {
+	rng := rand.New(rand.NewSource(84))
+	sorted := make([]record.Record, 1<<16)
+	for i := range sorted {
+		sorted[i] = record.Record{Key: rng.Float64(), Value: []byte{byte(i)}}
+	}
+	record.SortByKey(sorted)
+	shuffled := slices.Clone(sorted)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, in := range []struct {
+		name string
+		recs []record.Record
+	}{{"sorted", sorted}, {"shuffled", shuffled}} {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				b.StopTimer()
+				ix, err := New(dht.NewLocal(), DefaultConfig())
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := ix.BulkLoad(in.recs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -81,7 +81,9 @@ func (ix *Index) getBucketC(ctx context.Context, key string, col *rangeCollector
 
 // Range answers the range query [lo, hi) (sections 6.1-6.2): it returns
 // every indexed record whose key falls in the range. Bounds must satisfy
-// 0 <= lo < hi <= 1.
+// 0 <= lo < hi <= 1. The answer is a set: records come back in no
+// particular order, as leaves are gathered in whatever order their
+// replies arrive.
 //
 // The algorithm is the paper's general case (Algorithm 4): the initiator
 // locally computes the range's lowest common ancestor LCA and fetches the

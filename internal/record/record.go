@@ -7,8 +7,9 @@
 package record
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Record is one indexed data unit.
@@ -26,7 +27,7 @@ func (r Record) String() string {
 
 // SortByKey sorts records in ascending key order in place.
 func SortByKey(rs []Record) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Key < rs[j].Key })
+	slices.SortFunc(rs, func(a, b Record) int { return cmp.Compare(a.Key, b.Key) })
 }
 
 // FindByKey returns the index of the record with the given key in rs, or

@@ -271,10 +271,13 @@ func (ix *Index) InsertContext(ctx context.Context, r Record) (Cost, error) {
 
 // BulkLoadContext populates an empty index with a whole dataset in one
 // pass (about one DHT-put per resulting leaf), the standard construction
-// optimization; ErrNotEmpty if the index already holds data. Leaves ship
-// in batched parallel put rounds (WithBatchSize keys per batch); a
-// failure mid-load surfaces as a *PartialLoadError once any leaf has
-// landed.
+// optimization; ErrNotEmpty if the index already holds data. Of records
+// sharing a key the last one wins, as with repeated Inserts; recs is
+// never modified. Ordering the input costs linear time when it is
+// already in key order and one sort of (key, position) pairs otherwise,
+// so key-ordered input loads fastest. Leaves ship in batched parallel
+// put rounds (WithBatchSize keys per batch); a failure mid-load surfaces
+// as a *PartialLoadError once any leaf has landed.
 func (ix *Index) BulkLoadContext(ctx context.Context, recs []Record) (Cost, error) {
 	return ix.inner.BulkLoadContext(ctx, recs)
 }
